@@ -6,7 +6,9 @@
  * For each measured benchmark this times the full test workload as a
  * pipelined client burst, cold (empty JobCache) and warm (all hits),
  * then hammers the server with duplicate-heavy multi-client traffic
- * to exercise the accumulation window. Reported per benchmark in
+ * to exercise batching. This stage runs the server's default options,
+ * so its occupancy is what natural batching (no accumulation window)
+ * achieves under a burst. Reported per benchmark in
  * BENCH_serve.json (path overridable via argv[1]): requests/s cold
  * and warm, the stream's cache hit rate, mean batch lane occupancy,
  * p50/p99 service time, and peak queue depth.
@@ -229,7 +231,7 @@ measureChaos(const std::string &bench, double fault_rate)
     r.identityBalances =
         telem.requests == telem.cacheHits + telem.coalesced +
                               telem.simulated + telem.busy +
-                              telem.expired;
+                              telem.expired + telem.shutdown;
     server.stop();
     return r;
 }
@@ -364,7 +366,7 @@ measureSharded(const std::vector<std::string> &benches, unsigned shards)
         r.identityBalances =
             r.identityBalances &&
             s.requests == s.cacheHits + s.coalesced + s.simulated +
-                              s.busy + s.expired;
+                              s.busy + s.expired + s.shutdown;
     }
     std::uint64_t stream_requests = 0;
     for (const std::string &bench : benches)
@@ -381,7 +383,6 @@ measure(const std::string &bench)
     const sim::ExperimentOptions eopts;
     serve::ServerOptions sopts;
     sopts.workers = 2;
-    sopts.batchWindowMicros = 200;
     sopts.experiment = eopts;
 
     serve::PredictionServer server(sopts);

@@ -207,6 +207,13 @@ stage "serving bench + chaos soak + sharded dispatch"
 # from the single-dispatcher reference.
 build/bench/bench_serve BENCH_serve.json
 
+stage "served-path correctness (perfledger solo_hot + solo_cold)"
+# One controller over a Unix socket, hot then cold jobs: run.py exits
+# non-zero if any served reply differs bit for bit from the in-process
+# engine or the tree-walking interpreter.
+python3 perfledger/run.py --workload solo_hot --seed 1 --seconds 2
+python3 perfledger/run.py --workload solo_cold --seed 1 --seconds 2
+
 stage "bench smoke"
 for b in build/bench/*; do
     case "$b" in

@@ -194,13 +194,12 @@ PredictReplyMsg
 PredictionClient::predict(std::uint32_t stream_id,
                           const rtl::JobInput &job)
 {
-    std::vector<rtl::JobInput> jobs(1, job);
-    return predictMany(stream_id, jobs).front();
+    return predictMany(stream_id, {&job, 1}).front();
 }
 
 std::vector<PredictReplyMsg>
 PredictionClient::predictMany(std::uint32_t stream_id,
-                              const std::vector<rtl::JobInput> &jobs)
+                              std::span<const rtl::JobInput> jobs)
 {
     const std::vector<PredictOutcome> outcomes =
         predictManyOutcomes(stream_id, jobs, 0);
@@ -219,7 +218,7 @@ PredictionClient::predictMany(std::uint32_t stream_id,
 
 std::vector<PredictOutcome>
 PredictionClient::predictManyOutcomes(
-    std::uint32_t stream_id, const std::vector<rtl::JobInput> &jobs,
+    std::uint32_t stream_id, std::span<const rtl::JobInput> jobs,
     std::uint64_t deadline_micros)
 {
     enum class State { NeedSend, Sent, Done };
@@ -267,13 +266,10 @@ PredictionClient::predictManyOutcomes(
             ++counters.retries;
         slot.everSent = true;
         slot.doneAtSend = done;
-        PredictMsg request;
-        request.streamId = activeId(stream_id);
-        request.requestId = slot.requestId;
-        request.deadlineMicros = deadline_micros;
-        request.job = *slot.job;
         ++counters.requestsSent;
-        return trySend(MsgType::Predict, encodePredict(request));
+        return trySend(MsgType::Predict,
+                       encodePredict(activeId(stream_id), slot.requestId,
+                                     deadline_micros, *slot.job));
     };
 
     const auto onConnectionLost = [&] {
@@ -530,6 +526,24 @@ PredictionClient::raiseIfError(const Frame &frame)
 
 namespace {
 
+/** An encoded Predict frame, re-encoded to address @p stream_id. */
+std::shared_ptr<const std::vector<std::uint8_t>>
+reencodeForStream(const std::vector<std::uint8_t> &frame,
+                  std::uint32_t stream_id)
+{
+    FrameDecoder decoder;
+    decoder.feed(frame.data(), frame.size());
+    Frame parsed;
+    PredictMsg request;
+    util::fatalIf(decoder.next(parsed) != FrameDecoder::Status::Ready ||
+                      !decodePredict(parsed.payload, request),
+                  "AsyncPredictionClient: cannot decode its own "
+                  "request frame");
+    request.streamId = stream_id;
+    return std::make_shared<const std::vector<std::uint8_t>>(
+        encodeFrame(MsgType::Predict, encodePredict(request)));
+}
+
 /** fatal() with the server's message if @p frame is an Error. */
 void
 raiseServerError(const Frame &frame)
@@ -755,18 +769,34 @@ AsyncPredictionClient::submit(std::uint32_t stream_id,
                               std::uint64_t deadline_micros)
 {
     startThreads();
+    std::uint64_t id = 0;
+    std::uint32_t wire_id = 0;
+    {
+        std::lock_guard<std::mutex> lock(mu);
+        util::fatalIf(closing,
+                      "AsyncPredictionClient: submit() after close()");
+        const auto mapped = remap.find(stream_id);
+        util::fatalIf(mapped == remap.end(),
+                      "AsyncPredictionClient: stream ", stream_id,
+                      " was never opened");
+        id = nextRequestId++;
+        wire_id = mapped->second;
+    }
+
+    // Encoded once, straight from the caller's job and outside mu, so
+    // the sender and the receiver's completions never wait behind an
+    // encode; re-sends write these same bytes.
+    Slot slot;
+    slot.streamId = stream_id;
+    slot.wireStreamId = wire_id;
+    slot.frame = std::make_shared<const std::vector<std::uint8_t>>(
+        encodeFrame(MsgType::Predict,
+                    encodePredict(wire_id, id, deadline_micros, job)));
+    slot.done = std::move(done);
+
     std::lock_guard<std::mutex> lock(mu);
     util::fatalIf(closing,
                   "AsyncPredictionClient: submit() after close()");
-    util::fatalIf(remap.find(stream_id) == remap.end(),
-                  "AsyncPredictionClient: stream ", stream_id,
-                  " was never opened");
-    const std::uint64_t id = nextRequestId++;
-    Slot slot;
-    slot.streamId = stream_id;
-    slot.job = job;
-    slot.deadlineMicros = deadline_micros;
-    slot.done = std::move(done);
     inflight.emplace(id, std::move(slot));
     sendQueue.push_back(id);
     cv.notify_all();
@@ -831,17 +861,19 @@ AsyncPredictionClient::senderLoop()
         slot.everSent = true;
         slot.completedAtSend = completedCount;
         slot.sent = true;
-
-        PredictMsg request;
-        const auto mapped = remap.find(slot.streamId);
-        request.streamId =
-            mapped != remap.end() ? mapped->second : slot.streamId;
-        request.requestId = id;
-        request.deadlineMicros = slot.deadlineMicros;
-        request.job = slot.job;
         ++counters.requestsSent;
-        const std::vector<std::uint8_t> frame =
-            encodeFrame(MsgType::Predict, encodePredict(request));
+
+        // A reconnect that landed on a server numbering its streams
+        // differently is the one reason to encode a request again.
+        const std::uint32_t wire_id = remap.at(slot.streamId);
+        if (wire_id != slot.wireStreamId) {
+            slot.frame = reencodeForStream(*slot.frame, wire_id);
+            slot.wireStreamId = wire_id;
+        }
+        // Shared, not borrowed: once the last byte is out, the reply
+        // can retire the slot before writeAll() has returned.
+        const std::shared_ptr<const std::vector<std::uint8_t>> frame =
+            slot.frame;
 
         Connection *wire = conn.get();
         senderInSend = true;
@@ -849,7 +881,7 @@ AsyncPredictionClient::senderLoop()
         bool ok;
         {
             std::lock_guard<std::mutex> wl(writeMu);
-            ok = wire->writeAll(frame.data(), frame.size());
+            ok = wire->writeAll(frame->data(), frame->size());
         }
         lock.lock();
         senderInSend = false;
@@ -877,6 +909,7 @@ AsyncPredictionClient::senderLoop()
 void
 AsyncPredictionClient::receiverLoop()
 {
+    std::vector<std::uint8_t> buffer(kReadChunkBytes);
     for (;;) {
         Frame frame;
         std::string error;
@@ -892,13 +925,13 @@ AsyncPredictionClient::receiverLoop()
                 lost = true;
                 break;
             }
-            std::uint8_t buffer[4096];
-            const std::size_t n = conn->read(buffer, sizeof(buffer));
+            const std::size_t n =
+                conn->read(buffer.data(), buffer.size());
             if (n == 0) {
                 lost = true;
                 break;
             }
-            decoder.feed(buffer, n);
+            decoder.feed(buffer.data(), n);
         }
         if (lost) {
             {
@@ -1080,7 +1113,7 @@ AsyncPredictionClient::handleConnectionLost()
         }
         // Re-open every stream the caller holds a handle to; ids may
         // differ on the new connection (another server instance), so
-        // the remap table translates at send time.
+        // the sender re-encodes requests whose id the remap changed.
         bool opened_all = true;
         for (const auto &entry : streamBench) {
             const std::uint32_t fresh_id =

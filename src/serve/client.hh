@@ -7,8 +7,8 @@
  * openStream() resolves a benchmark name to a stream handle, and
  * predict()/predictMany() exchange jobs for prepared-value replies.
  * predictMany() pipelines — every request is written before the first
- * reply is read — which is what lets the server's accumulation window
- * actually coalesce a client's burst into one batch. Replies are
+ * reply is read — so the server finds the burst queued behind its
+ * running prepare() and batches it. Replies are
  * matched to requests by the echoed requestId, so any server-side
  * reordering across streams is invisible to the caller.
  *
@@ -39,6 +39,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -162,12 +163,13 @@ class PredictionClient
     /**
      * Pipelined burst: write every request, then collect replies,
      * matched by requestId. Retriable faults (Busy, disconnect with a
-     * factory) are absorbed; any other error is fatal().
+     * factory) are absorbed; any other error is fatal(). Requests are
+     * encoded straight from @p jobs; nothing is copied.
      * @return replies in @p jobs order.
      */
     std::vector<PredictReplyMsg>
     predictMany(std::uint32_t stream_id,
-                const std::vector<rtl::JobInput> &jobs);
+                std::span<const rtl::JobInput> jobs);
 
     /**
      * predictMany() that reports per-request outcomes instead of
@@ -178,7 +180,7 @@ class PredictionClient
      */
     std::vector<PredictOutcome>
     predictManyOutcomes(std::uint32_t stream_id,
-                        const std::vector<rtl::JobInput> &jobs,
+                        std::span<const rtl::JobInput> jobs,
                         std::uint64_t deadline_micros = 0);
 
     /** This client's fault counters. */
@@ -336,8 +338,10 @@ class AsyncPredictionClient
     struct Slot
     {
         std::uint32_t streamId = 0;
-        rtl::JobInput job;
-        std::uint64_t deadlineMicros = 0;
+        /** The Predict frame, encoded once by submit(); every send
+         *  and re-send writes it. */
+        std::shared_ptr<const std::vector<std::uint8_t>> frame;
+        std::uint32_t wireStreamId = 0;  //!< The stream id in frame.
         Callback done;
         bool sent = false;           //!< Sent (true) vs Queued.
         bool everSent = false;

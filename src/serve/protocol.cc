@@ -1,5 +1,7 @@
 #include "serve/protocol.hh"
 
+#include <algorithm>
+#include <bit>
 #include <cstring>
 
 #include "util/logging.hh"
@@ -27,6 +29,11 @@ errorCodeName(ErrorCode code)
 
 namespace {
 
+/** Host integers already sit in wire (little-endian) byte order, so an
+ *  array of them is copied as one block; other hosts go field by
+ *  field. */
+constexpr bool kHostIsWireOrder = std::endian::native == std::endian::little;
+
 /** Append-only little-endian field writer. */
 struct WireWriter
 {
@@ -53,6 +60,17 @@ struct WireWriter
     }
 
     void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
+
+    void i64s(const std::int64_t *values, std::size_t n)
+    {
+        if constexpr (kHostIsWireOrder) {
+            const auto *p = reinterpret_cast<const std::uint8_t *>(values);
+            bytes.insert(bytes.end(), p, p + n * sizeof(std::int64_t));
+        } else {
+            for (std::size_t i = 0; i < n; ++i)
+                i64(values[i]);
+        }
+    }
 
     void f64(double v)
     {
@@ -88,14 +106,18 @@ struct WireReader
     {
     }
 
-    bool take(std::size_t n)
+    /** Check that @p count fields of @p width bytes remain, without
+     *  multiplying an attacker-chosen count. */
+    bool take(std::size_t count, std::size_t width = 1)
     {
-        if (failed || size - pos < n || pos > size) {
+        if (failed || pos > size || count > (size - pos) / width) {
             failed = true;
             return false;
         }
         return true;
     }
+
+    std::size_t remaining() const { return size - pos; }
 
     std::uint16_t u16()
     {
@@ -130,6 +152,20 @@ struct WireReader
     }
 
     std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
+
+    void i64s(std::int64_t *out, std::size_t n)
+    {
+        if (!take(n, sizeof(std::int64_t)))
+            return;
+        if constexpr (kHostIsWireOrder) {
+            if (n > 0)
+                std::memcpy(out, data + pos, n * sizeof(std::int64_t));
+            pos += n * sizeof(std::int64_t);
+        } else {
+            for (std::size_t i = 0; i < n; ++i)
+                out[i] = i64();
+        }
+    }
 
     double f64()
     {
@@ -228,15 +264,26 @@ decodeStreamOpened(const std::vector<std::uint8_t> &payload,
 std::vector<std::uint8_t>
 encodePredict(const PredictMsg &msg)
 {
+    return encodePredict(msg.streamId, msg.requestId, msg.deadlineMicros,
+                         msg.job);
+}
+
+std::vector<std::uint8_t>
+encodePredict(std::uint32_t stream_id, std::uint64_t request_id,
+              std::uint64_t deadline_micros, const rtl::JobInput &job)
+{
+    std::size_t size = 4 + 8 + 8 + 4;
+    for (const rtl::WorkItem &item : job.items)
+        size += 4 + sizeof(std::int64_t) * item.fields.size();
     WireWriter w;
-    w.u32(msg.streamId);
-    w.u64(msg.requestId);
-    w.u64(msg.deadlineMicros);
-    w.u32(static_cast<std::uint32_t>(msg.job.items.size()));
-    for (const rtl::WorkItem &item : msg.job.items) {
+    w.bytes.reserve(size);
+    w.u32(stream_id);
+    w.u64(request_id);
+    w.u64(deadline_micros);
+    w.u32(static_cast<std::uint32_t>(job.items.size()));
+    for (const rtl::WorkItem &item : job.items) {
         w.u32(static_cast<std::uint32_t>(item.fields.size()));
-        for (const std::int64_t f : item.fields)
-            w.i64(f);
+        w.i64s(item.fields.data(), item.fields.size());
     }
     return std::move(w.bytes);
 }
@@ -249,20 +296,21 @@ decodePredict(const std::vector<std::uint8_t> &payload, PredictMsg &out)
     out.requestId = r.u64();
     out.deadlineMicros = r.u64();
     const std::uint32_t items = r.u32();
-    // Counts are attacker-controlled: never reserve() from them beyond
-    // what the remaining payload could actually hold (4 bytes per item
-    // minimum), so a forged count of 2^32 cannot drive allocation.
+    // Counts are attacker-controlled: reserve no more items than the
+    // rest of the payload could hold (each needs its 4-byte field
+    // count), and allocate an item's fields only once take() has seen
+    // their bytes, so a forged count of 2^32 cannot drive allocation.
     out.job.items.clear();
     out.job.items.reserve(
-        std::min<std::size_t>(items, payload.size() / 4 + 1));
-    for (std::uint32_t i = 0; i < items && r.ok(); ++i) {
-        rtl::WorkItem item;
+        std::min<std::size_t>(items, r.remaining() / 4));
+    for (std::uint32_t i = 0; i < items; ++i) {
         const std::uint32_t fields = r.u32();
-        item.fields.reserve(
-            std::min<std::size_t>(fields, payload.size() / 8 + 1));
-        for (std::uint32_t f = 0; f < fields && r.ok(); ++f)
-            item.fields.push_back(r.i64());
-        out.job.items.push_back(std::move(item));
+        if (!r.take(fields, sizeof(std::int64_t)))
+            return false;
+        std::vector<std::int64_t> &values =
+            out.job.items.emplace_back().fields;
+        values.resize(fields);
+        r.i64s(values.data(), fields);
     }
     return r.done();
 }

@@ -176,6 +176,13 @@ std::vector<std::uint8_t> encodePredictReply(const PredictReplyMsg &msg);
 std::vector<std::uint8_t> encodeStats(const StatsMsg &msg);
 std::vector<std::uint8_t> encodeStatsReply(const StatsReplyMsg &msg);
 std::vector<std::uint8_t> encodeError(const ErrorMsg &msg);
+
+/** encodePredict() of a job the caller keeps: the same bytes, without
+ *  first copying @p job into a PredictMsg. */
+std::vector<std::uint8_t> encodePredict(std::uint32_t stream_id,
+                                        std::uint64_t request_id,
+                                        std::uint64_t deadline_micros,
+                                        const rtl::JobInput &job);
 /// @}
 
 /** @name Payload decoders

@@ -114,6 +114,7 @@ struct TelemetryState
     std::uint64_t simulated = 0;
     std::uint64_t busy = 0;
     std::uint64_t expired = 0;
+    std::uint64_t shutdown = 0;
     std::uint64_t batches = 0;
     std::uint64_t batchJobs = 0;
     ServiceTimeRing serviceTimes;
@@ -149,7 +150,7 @@ struct Stream
 
 /**
  * One dispatcher shard: a disjoint set of streams, their pending
- * queues, an accumulation window, and the thread that drains them.
+ * queues, and the thread that drains them.
  * Every mutable field is guarded by mu; the dispatcher thread is the
  * only consumer, readers are the producers. Each shard owns its own
  * simulation pool because ThreadPool::run() is single-flight — two
@@ -376,23 +377,22 @@ struct PredictionServer::Impl
 
             // Counted as a request whatever happens next: the
             // telemetry identity (requests == hits + coalesced +
-            // simulated + busy + expired) accounts for every accepted
-            // Predict, including the ones backpressure turns away.
+            // simulated + busy + expired + shutdown) accounts for
+            // every accepted Predict, including the ones backpressure
+            // or a stopping server turns away.
             {
                 std::lock_guard<std::mutex> lock(stream->telem.mu);
                 ++stream->telem.requests;
             }
 
             Shard &shard = *stream->home;
+            bool stopping = false;
             bool rejected = false;
             {
                 std::lock_guard<std::mutex> lock(shard.mu);
                 if (shard.stopping) {
-                    writeError(conn, ErrorCode::ShuttingDown,
-                               predict.requestId, "server stopping");
-                    return false;
-                }
-                if (stream->pending.size() >= opts.queueBound) {
+                    stopping = true;
+                } else if (stream->pending.size() >= opts.queueBound) {
                     rejected = true;
                 } else {
                     stream->pending.push_back(std::move(request));
@@ -403,10 +403,23 @@ struct PredictionServer::Impl
                         std::max(shard.peakPending, shard.totalPending);
                 }
             }
+            // Replies are written after shard.mu is released: a slow
+            // peer must not stall the shard's other producers.
+            if (stopping) {
+                {
+                    std::lock_guard<std::mutex> lock(
+                        stream->telem.mu);
+                    ++stream->telem.shutdown;
+                }
+                writeError(conn, ErrorCode::ShuttingDown,
+                           predict.requestId, "server stopping");
+                return false;
+            }
             if (rejected) {
                 // Backpressure, not failure: the connection stays up
-                // and the client is told when a retry is worth it
-                // (one accumulation window from now, plus slack).
+                // and the client is told when a retry is worth it:
+                // after any accumulation window, plus 100 µs of slack
+                // (a floor under the client's own backoff).
                 {
                     std::lock_guard<std::mutex> lock(
                         stream->telem.mu);
@@ -465,17 +478,17 @@ struct PredictionServer::Impl
         }
 
         FrameDecoder decoder;
-        std::uint8_t buffer[4096];
+        std::vector<std::uint8_t> buffer(kReadChunkBytes);
         bool open = true;
         while (open) {
             const std::size_t n =
-                conn.conn->read(buffer, sizeof(buffer));
+                conn.conn->read(buffer.data(), buffer.size());
             if (n == 0) {
                 // EOF. A mid-frame EOF is a peer that vanished; both
                 // cases are a clean close, never an error path.
                 break;
             }
-            decoder.feed(buffer, n);
+            decoder.feed(buffer.data(), n);
             Frame frame;
             std::string error;
             for (;;) {
@@ -514,10 +527,8 @@ struct PredictionServer::Impl
                 shard.cv.wait(lock, [&shard] {
                     return shard.stopping || shard.totalPending > 0;
                 });
-                if (shard.stopping)
-                    break;
-                // Accumulation window: wait once for the batch to
-                // fill, then take everything that made it.
+                // Optional accumulation window: wait once for the
+                // batch to fill, then take everything that made it.
                 if (shard.totalPending < opts.maxBatchJobs &&
                     opts.batchWindowMicros > 0) {
                     shard.cv.wait_for(
@@ -530,6 +541,10 @@ struct PredictionServer::Impl
                                     opts.maxBatchJobs;
                         });
                 }
+                // Work still queued when stop() arrives is answered
+                // by the shutdown sweep below, not simulated.
+                if (shard.stopping)
+                    break;
             }
             drainShard(shard, /*shutting_down=*/false);
         }
@@ -565,6 +580,10 @@ struct PredictionServer::Impl
                 continue;
             found_work = true;
             if (shutting_down) {
+                {
+                    std::lock_guard<std::mutex> lock(stream->telem.mu);
+                    stream->telem.shutdown += taken.size();
+                }
                 for (PendingRequest &request : taken) {
                     writeError(*request.conn, ErrorCode::ShuttingDown,
                                request.requestId, "server stopping");
@@ -637,8 +656,8 @@ struct PredictionServer::Impl
         // Counters land before the replies go out: a client that has
         // received every reply of its burst must find the telemetry
         // identity (requests == hits + coalesced + simulated + busy
-        // + expired) already holding for those requests. requests
-        // itself was counted at accept time, in the reader.
+        // + expired + shutdown) already holding for those requests.
+        // requests itself was counted at accept time, in the reader.
         {
             const Clock::time_point now = Clock::now();
             std::lock_guard<std::mutex> lock(stream.telem.mu);
@@ -687,6 +706,7 @@ struct PredictionServer::Impl
         t.simulated = stream.telem.simulated;
         t.busy = stream.telem.busy;
         t.expired = stream.telem.expired;
+        t.shutdown = stream.telem.shutdown;
         t.batches = stream.telem.batches;
         t.batchJobs = stream.telem.batchJobs;
         t.p50ServiceMicros = stream.telem.serviceTimes.percentile(0.50);
@@ -721,6 +741,7 @@ struct PredictionServer::Impl
                 t.simulated += stream->telem.simulated;
                 t.busy += stream->telem.busy;
                 t.expired += stream->telem.expired;
+                t.shutdown += stream->telem.shutdown;
                 t.batches += stream->telem.batches;
                 t.batchJobs += stream->telem.batchJobs;
             }
@@ -781,6 +802,7 @@ struct PredictionServer::Impl
                << "      \"simulated\": " << t.simulated << ",\n"
                << "      \"busy\": " << t.busy << ",\n"
                << "      \"expired\": " << t.expired << ",\n"
+               << "      \"shutdown\": " << t.shutdown << ",\n"
                << "      \"batches\": " << t.batches << ",\n"
                << "      \"batch_jobs\": " << t.batchJobs << ",\n"
                << "      \"mean_batch_occupancy\": "
@@ -810,6 +832,7 @@ struct PredictionServer::Impl
                << "      \"simulated\": " << t.simulated << ",\n"
                << "      \"busy\": " << t.busy << ",\n"
                << "      \"expired\": " << t.expired << ",\n"
+               << "      \"shutdown\": " << t.shutdown << ",\n"
                << "      \"peak_queue_depth\": " << t.peakQueueDepth
                << ",\n"
                << "      \"hit_rate\": " << t.hitRate() << ",\n"

@@ -17,23 +17,24 @@
  * request, so overload is explicit backpressure rather than unbounded
  * memory. Dispatch is *sharded*: each of the N dispatcher shards owns
  * the disjoint set of streams whose fingerprint hashes to it
- * (streamKey % shards), with its own bounded queues, accumulation
- * window, wakeup, and telemetry — one hot benchmark can saturate its
- * shard without head-of-line-blocking streams on the others. Each
- * shard's dispatcher drains its queues in arrival order, applying a
- * small *accumulation window*: when it wakes with fewer than
- * maxBatchJobs pending it waits once, up to batchWindow, for more
- * requests to land, then takes everything queued. Requests whose
- * optional deadline expired while queued are answered with
- * DeadlineExceeded at that point — and only at that point, never once
- * simulation has started, so any reply that does carry values is
- * byte-deterministic. The rest is grouped by stream and run through
- * one prepare() call per chunk (over the shard's thread pool when
- * workers > 1). Batching, worker count, and shard count change only
- * latency and throughput, never bytes: prepare() is bit-deterministic
- * at any worker count, requests of one stream never leave its shard,
- * and arrival order is preserved within a stream, so a reply is
- * byte-identical however requests were coalesced or sharded.
+ * (streamKey % shards), with its own bounded queues, wakeup, and
+ * telemetry — one hot benchmark can saturate its shard without
+ * head-of-line-blocking streams on the others. Each shard's
+ * dispatcher takes everything queued the moment a request lands, so
+ * a lone request never waits for company: batches form *naturally*,
+ * from the requests that queued while the previous prepare() ran.
+ * (batchWindowMicros can add an accumulation window; tests use it to
+ * hold requests in the queue.) Requests whose optional deadline
+ * expired while queued are answered with DeadlineExceeded at that
+ * point — and only at that point, never once simulation has started,
+ * so any reply that does carry values is byte-deterministic. The rest
+ * is grouped by stream and run through one prepare() call per chunk
+ * (over the shard's thread pool when workers > 1). Batching, worker
+ * count, and shard count change only latency and throughput, never
+ * bytes: prepare() is bit-deterministic at any worker count, requests
+ * of one stream never leave its shard, and arrival order is preserved
+ * within a stream, so a reply is byte-identical however requests were
+ * coalesced or sharded.
  *
  * Telemetry: per-stream counters (requests, cache hits, in-batch
  * coalescing, fresh simulations, batches, occupancy, queue depth,
@@ -67,9 +68,9 @@ struct ServerOptions
      * Dispatcher shards. Streams are assigned by fingerprint hash
      * (streamKey % shards), so the split is stable across restarts of
      * the same designs/predictors; each shard runs its own dispatcher
-     * thread, queues, and accumulation window. Replies are
-     * byte-identical at any shard count — sharding only removes
-     * cross-stream head-of-line blocking.
+     * thread and queues. Replies are byte-identical at any shard
+     * count — sharding only removes cross-stream head-of-line
+     * blocking.
      */
     unsigned shards = 1;
 
@@ -77,20 +78,25 @@ struct ServerOptions
      *  jobs per stream. */
     std::size_t maxBatchJobs = 64;
 
-    /** How long the dispatcher waits for a batch to fill before
-     *  draining what it has. 0 = drain immediately. */
-    unsigned batchWindowMicros = 200;
+    /** How long a dispatcher that wakes with fewer than maxBatchJobs
+     *  pending waits, once, for more before draining. 0 (the default)
+     *  drains at once: batches then hold whatever queued while the
+     *  previous prepare() ran. A Busy reply's retry-after hint is
+     *  this window plus 100 µs. */
+    unsigned batchWindowMicros = 0;
 
     /**
      * Bound on each stream's pending-request queue. A Predict that
      * arrives with the stream's queue full is answered immediately
      * with a Busy error (carrying a retry-after hint) instead of
      * being parked — overload degrades into explicit backpressure,
-     * never into unbounded memory. The default is far above what the
-     * in-tree workloads queue, so only deployments (or the overload
+     * never into unbounded memory. A plain client's pipelined burst
+     * can queue whole when the reader outpaces prepare(), so the
+     * default is far above the largest in-tree burst (h264's
+     * 1,500-job test stream): only deployments (or the overload
      * tests) that set it see Busy.
      */
-    std::size_t queueBound = 1024;
+    std::size_t queueBound = 4096;
 
     /**
      * When non-empty, stop() flushes the JobCache to this path so a
@@ -123,14 +129,17 @@ struct StreamTelemetry
     std::uint64_t requests = 0;    //!< Every accepted Predict; the
                                    //!< identity requests == cacheHits
                                    //!< + coalesced + simulated + busy
-                                   //!< + expired holds once all of a
-                                   //!< burst's replies are out.
+                                   //!< + expired + shutdown holds
+                                   //!< once all of a burst's replies
+                                   //!< are out.
     std::uint64_t cacheHits = 0;   //!< Answered from the JobCache.
     std::uint64_t coalesced = 0;   //!< In-batch duplicate fan-out.
     std::uint64_t simulated = 0;   //!< Fresh simulations.
     std::uint64_t busy = 0;        //!< Rejected: stream queue full.
     std::uint64_t expired = 0;     //!< Dropped: deadline passed while
                                    //!< queued.
+    std::uint64_t shutdown = 0;    //!< Answered ShuttingDown by a
+                                   //!< stopping server.
     std::uint64_t batches = 0;     //!< prepare() calls issued.
     std::uint64_t batchJobs = 0;   //!< Sum of drained batch sizes.
     std::size_t peakQueueDepth = 0;  //!< This stream's deepest queue.
@@ -147,9 +156,9 @@ struct StreamTelemetry
 /**
  * Snapshot of one dispatcher shard: its queue gauges plus the sum of
  * its streams' counters. The telemetry identity (requests ==
- * cacheHits + coalesced + simulated + busy + expired) holds per shard
- * exactly as it does per stream and in aggregate, because a stream's
- * requests never leave its shard.
+ * cacheHits + coalesced + simulated + busy + expired + shutdown)
+ * holds per shard exactly as it does per stream and in aggregate,
+ * because a stream's requests never leave its shard.
  */
 struct ShardTelemetry
 {
@@ -163,6 +172,7 @@ struct ShardTelemetry
     std::uint64_t simulated = 0;
     std::uint64_t busy = 0;
     std::uint64_t expired = 0;
+    std::uint64_t shutdown = 0;
     std::uint64_t batches = 0;
     std::uint64_t batchJobs = 0;
 
@@ -207,7 +217,8 @@ class PredictionServer
     /**
      * Stop: close the listener and every connection, join all
      * threads, drain the queue (pending requests get ShuttingDown
-     * errors). Called by the destructor; idempotent.
+     * errors, counted in telemetry as shutdown). Called by the
+     * destructor; idempotent.
      */
     void stop();
 

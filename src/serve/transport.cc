@@ -310,9 +310,9 @@ struct ListenerState
 
 namespace {
 
-/** Nagle off: frames are small and latency-sensitive; the server's
- *  accumulation window already provides the batching. Best effort —
- *  a failure costs latency, not correctness. */
+/** Nagle off: frames are small and latency-sensitive; the server
+ *  batches requests that queue behind a running prepare() itself.
+ *  Best effort — a failure costs latency, not correctness. */
 void
 setTcpNoDelay(int fd)
 {

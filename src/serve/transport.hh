@@ -41,6 +41,11 @@
 namespace predvfs {
 namespace serve {
 
+/** How many bytes a frame reader asks read() for at once: the largest
+ *  in-tree request frame (a djpeg job, ~52 KB) arrives in one call
+ *  rather than a dozen. */
+constexpr std::size_t kReadChunkBytes = 64u << 10;
+
 /** A blocking, bidirectional byte stream. */
 class Connection
 {
@@ -154,9 +159,10 @@ class UnixListener : public Listener
  * A listening TCP socket (IPv4). fatal() on bind/listen failure.
  * @p host is a numeric IPv4 address, "localhost", or empty/"*" for
  * the wildcard address; @p port 0 binds an ephemeral port, readable
- * back through port(). Accepted connections have TCP_NODELAY set —
- * frames are small and the server's accumulation window already
- * does the batching Nagle would otherwise duplicate with latency.
+ * back through port(). Accepted connections have TCP_NODELAY set: a
+ * reply is one small frame the client is waiting on, and the server
+ * already batches requests that queue behind a running prepare(), so
+ * Nagle would only add latency.
  */
 class TcpListener : public Listener
 {

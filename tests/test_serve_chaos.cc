@@ -54,7 +54,7 @@ void
 expectTelemetryIdentity(const serve::StreamTelemetry &t)
 {
     EXPECT_EQ(t.requests, t.cacheHits + t.coalesced + t.simulated +
-                              t.busy + t.expired);
+                              t.busy + t.expired + t.shutdown);
 }
 
 /** A connect factory producing chaos-wrapped loopback connections

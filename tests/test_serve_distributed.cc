@@ -11,12 +11,15 @@
  * bar: completions may arrive out of submission order (the harness
  * provokes and pins one such reordering), but aggregated by requestId
  * its replies, digests, and retry counters match the synchronous
- * client exactly.
+ * client exactly, also when a reconnect lands on a server that numbers
+ * its streams differently. A server stopped with requests still
+ * queued answers and counts every one of them.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <cstring>
 #include <map>
@@ -27,6 +30,7 @@
 #include <thread>
 #include <vector>
 
+#include "accel/registry.hh"
 #include "serve/chaos.hh"
 #include "serve/client.hh"
 #include "serve/golden.hh"
@@ -35,6 +39,7 @@
 #include "sim/experiment.hh"
 #include "sim/job_cache.hh"
 #include "workload/replay.hh"
+#include "workload/suite.hh"
 
 using namespace predvfs;
 
@@ -78,7 +83,7 @@ void
 expectStreamIdentity(const serve::StreamTelemetry &t)
 {
     EXPECT_EQ(t.requests, t.cacheHits + t.coalesced + t.simulated +
-                              t.busy + t.expired)
+                              t.busy + t.expired + t.shutdown)
         << "stream " << t.benchmark;
 }
 
@@ -86,7 +91,7 @@ void
 expectShardIdentity(const serve::ShardTelemetry &s)
 {
     EXPECT_EQ(s.requests, s.cacheHits + s.coalesced + s.simulated +
-                              s.busy + s.expired)
+                              s.busy + s.expired + s.shutdown)
         << "shard " << s.index;
 }
 
@@ -648,4 +653,155 @@ TEST(ServeDistributed, AsyncClientAbsorbsBusyAndConverges)
     expectStreamIdentity(t);
     client.close();
     server.stop();
+}
+
+// ---------------------------------------------------------------
+// The async client encodes each request once. A reconnect that lands
+// on a server numbering its streams differently must re-encode the
+// unanswered requests with the new id and still get fixture bytes.
+// ---------------------------------------------------------------
+
+TEST(ServeDistributed, AsyncClientReencodesAfterStreamIdsChange)
+{
+    sim::Experiment exp("sha", sim::ExperimentOptions{});
+    const std::vector<rtl::JobInput> &jobs = exp.workload().test;
+    const std::vector<core::PreparedJob> &records = exp.testPrepared();
+    ASSERT_GT(jobs.size(), 4u);
+
+    // The first server numbers sha 2, the second numbers it 1.
+    serve::PredictionServer first;
+    first.registerBenchmark("aes");
+    first.registerBenchmark("sha");
+    serve::PredictionServer second;
+    second.registerBenchmark("sha");
+
+    // The first dial cuts out after the handshake, the stream open and
+    // four requests; the redial reaches the second server.
+    auto dials = std::make_shared<std::uint64_t>(0);
+    serve::RetryOptions ropts;
+    ropts.enabled = true;
+    ropts.connect = [&first, &second,
+                     dials]() -> std::unique_ptr<serve::Connection> {
+        if ((*dials)++ == 0)
+            return std::make_unique<SeverAfter>(first.connectLoopback(),
+                                                /*writes=*/6);
+        return second.connectLoopback();
+    };
+    serve::AsyncPredictionClient client(ropts);
+    const std::uint32_t sid = client.openStream("sha");
+
+    std::mutex mu;
+    std::map<std::uint64_t, serve::PredictOutcome> by_id;
+    std::vector<std::uint64_t> ids;
+    for (const rtl::JobInput &job : jobs) {
+        ids.push_back(client.submit(
+            sid, job,
+            [&](std::uint64_t id, const serve::PredictOutcome &outcome) {
+                std::lock_guard<std::mutex> lock(mu);
+                by_id[id] = outcome;
+            }));
+    }
+    client.drain();
+
+    ASSERT_EQ(by_id.size(), jobs.size());
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+        const serve::PredictOutcome &outcome = by_id[ids[i]];
+        ASSERT_TRUE(outcome.ok) << "request " << i;
+        expectReplyMatchesRecord(outcome.reply, records[i],
+                                 "after a renumbering reconnect");
+    }
+    EXPECT_EQ(client.stats().reconnects, 1u);
+    client.close();
+
+    // Stopped first, so requests the first server took before the cut
+    // are settled one way or another before the identity is checked.
+    first.stop();
+    second.stop();
+    EXPECT_GT(second.telemetry("sha").requests, 0u);
+    expectStreamIdentity(first.telemetry("sha"));
+    expectStreamIdentity(second.telemetry("sha"));
+}
+
+// ---------------------------------------------------------------
+// stop() with requests still queued: every one is answered
+// ShuttingDown and counted, so the identity holds per stream and per
+// shard.
+// ---------------------------------------------------------------
+
+TEST(ServeDistributed, StopWithQueuedRequestsKeepsTheIdentity)
+{
+    const std::vector<rtl::JobInput> jobs =
+        workload::makeWorkload(*accel::makeAccelerator("sha")).test;
+    constexpr std::uint64_t kQueued = 8;
+    ASSERT_GE(jobs.size(), kQueued);
+
+    // A window far longer than the test keeps every request queued
+    // until stop(), which wakes the dispatcher at once: no host stall
+    // can let the dispatcher drain them first.
+    serve::ServerOptions sopts;
+    sopts.batchWindowMicros = 10000000;
+    serve::PredictionServer server(sopts);
+    server.registerBenchmark("sha");
+
+    // Raw frames, because a client treats ShuttingDown as fatal.
+    const std::unique_ptr<serve::Connection> conn =
+        server.connectLoopback();
+    serve::FrameDecoder decoder;
+    const auto send = [&conn](serve::MsgType type,
+                              const std::vector<std::uint8_t> &payload) {
+        const std::vector<std::uint8_t> frame =
+            serve::encodeFrame(type, payload);
+        return conn->writeAll(frame.data(), frame.size());
+    };
+    const auto receive = [&conn, &decoder](serve::Frame &frame) {
+        std::uint8_t buffer[512];
+        while (decoder.next(frame) != serve::FrameDecoder::Status::Ready) {
+            const std::size_t n = conn->read(buffer, sizeof(buffer));
+            if (n == 0)
+                return false;
+            decoder.feed(buffer, n);
+        }
+        return true;
+    };
+
+    serve::Frame reply;
+    ASSERT_TRUE(send(serve::MsgType::Hello,
+                     serve::encodeHello(serve::HelloMsg{})));
+    ASSERT_TRUE(receive(reply));
+    ASSERT_EQ(static_cast<serve::MsgType>(reply.type),
+              serve::MsgType::HelloOk);
+    serve::OpenStreamMsg open;
+    open.benchmark = "sha";
+    ASSERT_TRUE(send(serve::MsgType::OpenStream,
+                     serve::encodeOpenStream(open)));
+    ASSERT_TRUE(receive(reply));
+    serve::StreamOpenedMsg opened;
+    ASSERT_TRUE(serve::decodeStreamOpened(reply.payload, opened));
+    for (std::uint64_t i = 0; i < kQueued; ++i) {
+        ASSERT_TRUE(send(serve::MsgType::Predict,
+                         serve::encodePredict(opened.streamId, i + 1, 0,
+                                              jobs[i])));
+    }
+
+    // requests counts each Predict as the server accepts it.
+    const auto give_up =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (server.telemetry("sha").requests < kQueued) {
+        ASSERT_LT(std::chrono::steady_clock::now(), give_up);
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    server.stop();
+
+    const serve::StreamTelemetry t = server.telemetry("sha");
+    EXPECT_EQ(t.requests, kQueued);
+    EXPECT_EQ(t.shutdown, kQueued);
+    expectStreamIdentity(t);
+    std::uint64_t shard_shutdown = 0;
+    for (const serve::ShardTelemetry &s : server.shardTelemetry()) {
+        expectShardIdentity(s);
+        shard_shutdown += s.shutdown;
+    }
+    EXPECT_EQ(shard_shutdown, kQueued);
+    EXPECT_NE(server.telemetryJson().find("\"shutdown\": 8"),
+              std::string::npos);
 }

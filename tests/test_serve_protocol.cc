@@ -2,7 +2,8 @@
  * @file
  * Protocol robustness: the FrameDecoder against a seeded corpus of
  * truncated, oversized, and garbage byte streams; the payload
- * decoders against hostile length fields; and a live loopback server
+ * decoders against hostile length fields; the Predict codec against a
+ * field-by-field reference encoding; and a live loopback server
  * against malformed frames and mid-stream disconnects. Malformed
  * input must produce a typed Error reply or a clean close — never a
  * crash, a hang, or an attacker-sized allocation. Genuine caller bugs
@@ -15,11 +16,13 @@
 #include <chrono>
 #include <cstring>
 
+#include "accel/registry.hh"
 #include "serve/chaos.hh"
 #include "serve/client.hh"
 #include "serve/protocol.hh"
 #include "serve/server.hh"
 #include "util/random.hh"
+#include "workload/suite.hh"
 
 using namespace predvfs;
 using namespace predvfs::serve;
@@ -72,6 +75,50 @@ expectErrorFrame(const Frame &frame)
     ErrorMsg msg;
     EXPECT_TRUE(decodeError(frame.payload, msg));
     return msg;
+}
+
+/** Append the low @p bytes bytes of @p value, least significant first. */
+void
+putLittleEndian(std::vector<std::uint8_t> &out, std::uint64_t value,
+                int bytes)
+{
+    for (int i = 0; i < bytes; ++i)
+        out.push_back(static_cast<std::uint8_t>(value >> (8 * i)));
+}
+
+/** The Predict wire format spelled out one field at a time, as the
+ *  reference the codec's block copies must reproduce. */
+std::vector<std::uint8_t>
+referencePredict(std::uint32_t stream_id, std::uint64_t request_id,
+                 std::uint64_t deadline_micros, const rtl::JobInput &job)
+{
+    std::vector<std::uint8_t> out;
+    putLittleEndian(out, stream_id, 4);
+    putLittleEndian(out, request_id, 8);
+    putLittleEndian(out, deadline_micros, 8);
+    putLittleEndian(out, job.items.size(), 4);
+    for (const rtl::WorkItem &item : job.items) {
+        putLittleEndian(out, item.fields.size(), 4);
+        for (const std::int64_t field : item.fields)
+            putLittleEndian(out, static_cast<std::uint64_t>(field), 8);
+    }
+    return out;
+}
+
+/** @p payload must fail to decode as a Predict, having reserved no
+ *  more items or fields than its bytes could encode (4 bytes per
+ *  item, 8 per field). */
+void
+expectPredictRejected(const std::vector<std::uint8_t> &payload,
+                      const std::string &context)
+{
+    PredictMsg out;
+    EXPECT_FALSE(decodePredict(payload, out)) << context;
+    EXPECT_LE(out.job.items.capacity(), payload.size() / 4) << context;
+    for (const rtl::WorkItem &item : out.job.items) {
+        EXPECT_LE(item.fields.capacity(), payload.size() / 8)
+            << context;
+    }
 }
 
 } // namespace
@@ -263,23 +310,49 @@ TEST(FrameDecoder, ErrorFramesInterleaveWithRepliesMidPipeline)
 
 TEST(Protocol, DecodersRejectHostileLengthFields)
 {
-    // A Predict payload that announces 2^31 work items in 16 bytes:
-    // the decoder must fail cleanly instead of reserving gigabytes.
-    std::vector<std::uint8_t> payload;
-    const std::uint32_t stream_id = 1;
-    const std::uint64_t request_id = 1;
-    for (int i = 0; i < 4; ++i)
-        payload.push_back(
-            static_cast<std::uint8_t>(stream_id >> (8 * i)));
-    for (int i = 0; i < 8; ++i)
-        payload.push_back(
-            static_cast<std::uint8_t>(request_id >> (8 * i)));
-    const std::uint32_t huge = 0x80000000u;
-    for (int i = 0; i < 4; ++i)
-        payload.push_back(static_cast<std::uint8_t>(huge >> (8 * i)));
+    // A v2 Predict header (stream id, request id, deadline) and a
+    // forged count: the decoder must read the count and fail cleanly
+    // instead of reserving what it announces.
+    const auto predictHeader = [](std::uint32_t items) {
+        std::vector<std::uint8_t> payload;
+        putLittleEndian(payload, 1, 4);  // streamId
+        putLittleEndian(payload, 1, 8);  // requestId
+        putLittleEndian(payload, 0, 8);  // deadlineMicros
+        putLittleEndian(payload, items, 4);
+        return payload;
+    };
+    expectPredictRejected(predictHeader(0x80000000u), "2^31 items");
 
-    PredictMsg out;
-    EXPECT_FALSE(decodePredict(payload, out));
+    // One item whose field count is 2^32 - 1, and one whose count is
+    // one past the fields actually present.
+    std::vector<std::uint8_t> max_fields = predictHeader(1);
+    putLittleEndian(max_fields, 0xFFFFFFFFu, 4);
+    putLittleEndian(max_fields, 7, 8);
+    expectPredictRejected(max_fields, "2^32 - 1 fields");
+
+    std::vector<std::uint8_t> one_past = predictHeader(1);
+    putLittleEndian(one_past, 3, 4);
+    putLittleEndian(one_past, 7, 8);
+    putLittleEndian(one_past, 8, 8);
+    expectPredictRejected(one_past, "one field past the payload");
+
+    // A real Predict payload cut at every byte.
+    PredictMsg real;
+    real.streamId = 3;
+    real.requestId = 5;
+    real.deadlineMicros = 16700;
+    for (std::int64_t i = 0; i < 4; ++i) {
+        rtl::WorkItem item;
+        item.fields = {i, -i, i * 1000};
+        real.job.items.push_back(item);
+    }
+    const std::vector<std::uint8_t> predict = encodePredict(real);
+    for (std::size_t cut = 0; cut < predict.size(); ++cut) {
+        expectPredictRejected(
+            {predict.begin(),
+             predict.begin() + static_cast<std::ptrdiff_t>(cut)},
+            "Predict cut at byte " + std::to_string(cut));
+    }
 
     // Truncation of every message type: cutting any suffix off a
     // valid payload must fail, never read out of bounds.
@@ -298,6 +371,41 @@ TEST(Protocol, DecodersRejectHostileLengthFields)
     padded.push_back(0);
     OpenStreamMsg ignored;
     EXPECT_FALSE(decodeOpenStream(padded, ignored));
+}
+
+TEST(Protocol, PredictBytesMatchFieldByFieldEncoding)
+{
+    // encodePredict and decodePredict move item fields as whole
+    // blocks; on every design's test stream the bytes must equal a
+    // field-by-field little-endian encoding and decode back intact.
+    for (const std::string &name : accel::benchmarkNames()) {
+        const workload::BenchmarkWorkload work =
+            workload::makeWorkload(*accel::makeAccelerator(name));
+        std::uint64_t request_id = 0;
+        for (const rtl::JobInput &job : work.test) {
+            ++request_id;
+            const std::uint64_t deadline = request_id * 16700;
+            const std::vector<std::uint8_t> bytes =
+                encodePredict(7, request_id, deadline, job);
+            ASSERT_EQ(bytes, referencePredict(7, request_id, deadline,
+                                              job))
+                << name << " request " << request_id;
+
+            PredictMsg back;
+            ASSERT_TRUE(decodePredict(bytes, back))
+                << name << " request " << request_id;
+            EXPECT_EQ(back.streamId, 7u);
+            EXPECT_EQ(back.requestId, request_id);
+            EXPECT_EQ(back.deadlineMicros, deadline);
+            ASSERT_EQ(back.job.items.size(), job.items.size());
+            for (std::size_t i = 0; i < job.items.size(); ++i) {
+                ASSERT_EQ(back.job.items[i].fields, job.items[i].fields)
+                    << name << " request " << request_id << " item "
+                    << i;
+            }
+            ASSERT_EQ(encodePredict(back), bytes);
+        }
+    }
 }
 
 TEST(ServeProtocol, GarbageBytesGetTypedErrorThenClose)
