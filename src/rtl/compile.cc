@@ -195,7 +195,7 @@ isCmpOp(Op op)
 bool
 isFieldEqConst(const Expr &e, FieldId &field, std::int64_t &key)
 {
-    static const std::vector<std::int64_t> kNoFields;
+    static const FieldVec kNoFields;
     if (e.op() != Op::Eq)
         return false;
     if (e.args()[0]->op() == Op::Field && e.args()[1]->isConstant()) {
@@ -225,7 +225,7 @@ bool
 foldSelectChain(const Expr &e, std::int64_t scale, std::int64_t &imm,
                 std::vector<ATerm> &terms)
 {
-    static const std::vector<std::int64_t> kNoFields;
+    static const FieldVec kNoFields;
     FieldId field = -1;
     std::vector<std::int64_t> keys;
     std::vector<std::int64_t> arms;
@@ -279,7 +279,7 @@ bool
 collectAffine(const Expr &e, std::int64_t scale, std::int64_t &imm,
               std::vector<ATerm> &terms, bool fold_chains)
 {
-    static const std::vector<std::int64_t> kNoFields;
+    static const FieldVec kNoFields;
     if (e.isConstant()) {
         imm = addWrap(imm, mulWrap(scale, e.eval(kNoFields)));
         return true;
@@ -563,7 +563,7 @@ class ExprCompiler
         // same bytecode a folded tree would get. eval() on a fieldless
         // tree is the reference semantics, so no rule can drift.
         if (e.isConstant()) {
-            static const std::vector<std::int64_t> kNoFields;
+            static const FieldVec kNoFields;
             return numberConst(e.eval(kNoFields));
         }
         VKey key{e.op(), 0, -1, {}};
@@ -686,7 +686,7 @@ ExprProgram::ExprProgram(const ExprPtr &tree)
 }
 
 std::int64_t
-ExprProgram::eval(const std::vector<std::int64_t> &fields) const
+ExprProgram::eval(const FieldVec &fields) const
 {
     panicIf(maxField >= 0 &&
             static_cast<std::size_t>(maxField) >= fields.size(),
@@ -724,7 +724,7 @@ CompiledDesign::CompiledDesign(const Design &design)
     // bytecode program remains as the fully general fallback.
     auto addProgram = [&](auto &&self,
                           const ExprPtr &tree) -> std::int32_t {
-        static const std::vector<std::int64_t> kNoFields;
+        static const FieldVec kNoFields;
         panicIf(!tree, "CompiledDesign: null expression");
         CExpr e;
 

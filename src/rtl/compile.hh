@@ -181,7 +181,7 @@ class ExprProgram
     explicit ExprProgram(const ExprPtr &tree);
 
     /** Evaluate against a work item's field values (like Expr::eval). */
-    std::int64_t eval(const std::vector<std::int64_t> &fields) const;
+    std::int64_t eval(const FieldVec &fields) const;
 
     /** @return instruction count (0 for const/field-specialised). */
     std::size_t codeLength() const { return code.size(); }

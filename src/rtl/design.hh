@@ -40,10 +40,19 @@ using CounterId = int;
 using FsmId = int;
 using BlockId = int;
 
-/** One unit of input consumed by the accelerator (all-integer fields). */
+/**
+ * One unit of input consumed by the accelerator (all-integer fields).
+ * The fields sit inside the item: FieldVec holds six in place because
+ * six is the widest field schema of any in-tree design (h264's), and
+ * the server refuses items wider than their stream's design, so no
+ * served item spills to the heap. A job's items vector is then its
+ * only heap block: copying, freeing, or decoding a job of thousands of
+ * items (djpeg and cjpeg send ~1,900) costs one allocation, not one
+ * per item. A wider schema still works; its items each allocate.
+ */
 struct WorkItem
 {
-    std::vector<std::int64_t> fields;
+    FieldVec fields;
 };
 
 /**

@@ -283,7 +283,7 @@ Expr::fieldId() const
 }
 
 std::int64_t
-Expr::eval(const std::vector<std::int64_t> &fields) const
+Expr::eval(const FieldVec &fields) const
 {
     switch (opTag) {
       case Op::Const:

@@ -19,6 +19,8 @@
 #include <string>
 #include <vector>
 
+#include "rtl/field_vec.hh"
+
 namespace predvfs {
 namespace rtl {
 
@@ -135,7 +137,7 @@ class Expr
      * @param fields Field values indexed by FieldId.
      * @return 64-bit result; comparisons yield 0/1.
      */
-    std::int64_t eval(const std::vector<std::int64_t> &fields) const;
+    std::int64_t eval(const FieldVec &fields) const;
 
     /** Accumulate every FieldId read anywhere in this tree. */
     void collectFields(std::set<FieldId> &out) const;

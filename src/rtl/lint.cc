@@ -254,7 +254,7 @@ class Linter
         }
 
         std::vector<FieldId> vars(consumed.begin(), consumed.end());
-        std::vector<std::int64_t> fields(design.numFields(), 0);
+        FieldVec fields(design.numFields(), 0);
         for (std::size_t fd = 0; fd < fields.size(); ++fd)
             fields[fd] = design.fieldBounds()[fd].lo;
 

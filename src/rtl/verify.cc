@@ -19,7 +19,7 @@ using util::panicIf;
 
 namespace {
 
-const std::vector<std::int64_t> kNoFields;
+const FieldVec kNoFields;
 
 /** Enumeration budget shared with the lint guard-domain enumerator. */
 constexpr std::uint64_t kMaxEnumDomain = 4096;
@@ -1283,7 +1283,7 @@ Verifier::checkEquivalent(const ExprPtr &tree, std::int32_t prog,
         return;
     }
 
-    std::vector<std::int64_t> vec(d.numFields());
+    FieldVec vec(d.numFields());
     for (std::size_t i = 0; i < vec.size(); ++i)
         vec[i] = d.fieldBounds()[i].lo;
     std::vector<std::int64_t> scratch(c.scratchSize());
@@ -1778,7 +1778,7 @@ Verifier::srcDecision(FsmId f, StateId s, std::size_t &edge,
     const State &st = d.fsms()[f].states[s];
     if (st.terminal)
         return false;
-    const std::vector<std::int64_t> zeros(d.fieldBounds().size(), 0);
+    const FieldVec zeros(d.fieldBounds().size(), 0);
     edge = 0;
     taken = -1;
     fall = -1;

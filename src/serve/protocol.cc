@@ -1,6 +1,5 @@
 #include "serve/protocol.hh"
 
-#include <algorithm>
 #include <bit>
 #include <cstring>
 
@@ -34,43 +33,49 @@ namespace {
  *  field. */
 constexpr bool kHostIsWireOrder = std::endian::native == std::endian::little;
 
+/** Store @p v little-endian at @p p. @return the next byte after it.
+ *  The caller has sized the buffer; nothing is checked here. */
+template <typename T>
+std::uint8_t *
+storeLe(std::uint8_t *p, T v)
+{
+    for (std::size_t i = 0; i < sizeof(T); ++i)
+        p[i] = static_cast<std::uint8_t>(v >> (8 * i));
+    return p + sizeof(T);
+}
+
+/** Store @p n int64 values little-endian at @p p, as one block on
+ *  wire-order hosts. @return the next byte after them. */
+std::uint8_t *
+storeI64s(std::uint8_t *p, const std::int64_t *values, std::size_t n)
+{
+    if constexpr (kHostIsWireOrder) {
+        if (n > 0)
+            std::memcpy(p, values, n * sizeof(std::int64_t));
+        return p + n * sizeof(std::int64_t);
+    } else {
+        for (std::size_t i = 0; i < n; ++i)
+            p = storeLe(p, static_cast<std::uint64_t>(values[i]));
+        return p;
+    }
+}
+
 /** Append-only little-endian field writer. */
 struct WireWriter
 {
     std::vector<std::uint8_t> bytes;
 
-    void u8(std::uint8_t v) { bytes.push_back(v); }
-
-    void u16(std::uint16_t v)
+    template <typename T>
+    void put(T v)
     {
-        bytes.push_back(static_cast<std::uint8_t>(v));
-        bytes.push_back(static_cast<std::uint8_t>(v >> 8));
+        const std::size_t at = bytes.size();
+        bytes.resize(at + sizeof(T));
+        storeLe(bytes.data() + at, v);
     }
 
-    void u32(std::uint32_t v)
-    {
-        for (int i = 0; i < 4; ++i)
-            bytes.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-    }
-
-    void u64(std::uint64_t v)
-    {
-        for (int i = 0; i < 8; ++i)
-            bytes.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-    }
-
-    void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
-
-    void i64s(const std::int64_t *values, std::size_t n)
-    {
-        if constexpr (kHostIsWireOrder) {
-            const auto *p = reinterpret_cast<const std::uint8_t *>(values);
-            bytes.insert(bytes.end(), p, p + n * sizeof(std::int64_t));
-        } else {
-            for (std::size_t i = 0; i < n; ++i)
-                i64(values[i]);
-        }
-    }
+    void u16(std::uint16_t v) { put(v); }
+    void u32(std::uint32_t v) { put(v); }
+    void u64(std::uint64_t v) { put(v); }
 
     void f64(double v)
     {
@@ -116,8 +121,6 @@ struct WireReader
         }
         return true;
     }
-
-    std::size_t remaining() const { return size - pos; }
 
     std::uint16_t u16()
     {
@@ -272,20 +275,22 @@ std::vector<std::uint8_t>
 encodePredict(std::uint32_t stream_id, std::uint64_t request_id,
               std::uint64_t deadline_micros, const rtl::JobInput &job)
 {
+    // Size the buffer once, then store every field in place: no
+    // per-item capacity checks or appends.
     std::size_t size = 4 + 8 + 8 + 4;
     for (const rtl::WorkItem &item : job.items)
         size += 4 + sizeof(std::int64_t) * item.fields.size();
-    WireWriter w;
-    w.bytes.reserve(size);
-    w.u32(stream_id);
-    w.u64(request_id);
-    w.u64(deadline_micros);
-    w.u32(static_cast<std::uint32_t>(job.items.size()));
+    std::vector<std::uint8_t> bytes(size);
+    std::uint8_t *p = bytes.data();
+    p = storeLe(p, stream_id);
+    p = storeLe(p, request_id);
+    p = storeLe(p, deadline_micros);
+    p = storeLe(p, static_cast<std::uint32_t>(job.items.size()));
     for (const rtl::WorkItem &item : job.items) {
-        w.u32(static_cast<std::uint32_t>(item.fields.size()));
-        w.i64s(item.fields.data(), item.fields.size());
+        p = storeLe(p, static_cast<std::uint32_t>(item.fields.size()));
+        p = storeI64s(p, item.fields.data(), item.fields.size());
     }
-    return std::move(w.bytes);
+    return bytes;
 }
 
 bool
@@ -296,23 +301,32 @@ decodePredict(const std::vector<std::uint8_t> &payload, PredictMsg &out)
     out.requestId = r.u64();
     out.deadlineMicros = r.u64();
     const std::uint32_t items = r.u32();
-    // Counts are attacker-controlled: reserve no more items than the
-    // rest of the payload could hold (each needs its 4-byte field
-    // count), and allocate an item's fields only once take() has seen
-    // their bytes, so a forged count of 2^32 cannot drive allocation.
-    out.job.items.clear();
-    out.job.items.reserve(
-        std::min<std::size_t>(items, r.remaining() / 4));
+    // Counts are attacker-controlled. Walk the item headers once
+    // without allocating: only a payload whose bytes hold every item
+    // it announces, and nothing more, gets its items vector sized, so
+    // a forged count of 2^32 allocates nothing.
+    const std::size_t first_item = r.pos;
     for (std::uint32_t i = 0; i < items; ++i) {
         const std::uint32_t fields = r.u32();
         if (!r.take(fields, sizeof(std::int64_t)))
             return false;
-        std::vector<std::int64_t> &values =
-            out.job.items.emplace_back().fields;
-        values.resize(fields);
-        r.i64s(values.data(), fields);
+        r.pos += fields * sizeof(std::int64_t);
     }
-    return r.done();
+    if (!r.done())
+        return false;
+
+    // Second pass: the fields go straight into each item's inline
+    // storage, so for items of up to six fields (every in-tree
+    // design's) the items vector is the only allocation.
+    r.pos = first_item;
+    out.job.items.clear();
+    out.job.items.resize(items);
+    for (rtl::WorkItem &item : out.job.items) {
+        const std::uint32_t fields = r.u32();
+        item.fields.resize(fields);
+        r.i64s(item.fields.data(), fields);
+    }
+    return true;
 }
 
 std::vector<std::uint8_t>

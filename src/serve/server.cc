@@ -1,9 +1,11 @@
 #include "serve/server.hh"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <deque>
+#include <iterator>
 #include <mutex>
 #include <sstream>
 #include <thread>
@@ -177,6 +179,7 @@ struct ConnState
     std::shared_ptr<Connection> conn;
     std::mutex writeMu;
     std::thread reader;
+    std::atomic<bool> readerDone{false};  //!< Set as the reader exits.
 };
 
 /** A Predict request parked on its stream's dispatch queue. */
@@ -286,12 +289,26 @@ struct PredictionServer::Impl
     {
         auto state = std::make_shared<ConnState>();
         state->conn = std::move(connection);
+        // Retire connections whose reader has exited. Their sockets
+        // are only shut down; the descriptor goes with the last
+        // reference, which a queued request may still hold.
+        std::vector<std::shared_ptr<ConnState>> retired;
         {
             std::lock_guard<std::mutex> lock(connMu);
+            const auto gone = std::partition(
+                conns.begin(), conns.end(),
+                [](const auto &c) { return !c->readerDone.load(); });
+            retired.assign(std::make_move_iterator(gone),
+                           std::make_move_iterator(conns.end()));
+            conns.erase(gone, conns.end());
             conns.push_back(state);
+            // Started under connMu, so whoever later joins it (stop()
+            // or a retiring adoptConnection) sees the assignment.
+            state->reader =
+                std::thread([this, state] { readerLoop(state); });
         }
-        state->reader =
-            std::thread([this, state] { readerLoop(*state); });
+        for (const auto &c : retired)
+            c->reader.join();
     }
 
     /**
@@ -364,6 +381,24 @@ struct PredictionServer::Impl
                            "no stream with id " +
                                std::to_string(predict.streamId));
                 return true;
+            }
+            // The engine reads fields by index, so an item of the
+            // wrong width is refused here, before it is counted, not
+            // left to abort the process in the batch kernel.
+            const std::size_t width =
+                stream->accel->design().numFields();
+            for (std::size_t i = 0; i < predict.job.items.size(); ++i) {
+                const std::size_t got =
+                    predict.job.items[i].fields.size();
+                if (got != width) {
+                    writeError(conn, ErrorCode::BadFrame,
+                               predict.requestId,
+                               "item " + std::to_string(i) + " has " +
+                                   std::to_string(got) +
+                                   " fields; stream '" + stream->name +
+                                   "' reads " + std::to_string(width));
+                    return true;
+                }
             }
             PendingRequest request;
             request.conn = conn_ref;
@@ -462,21 +497,11 @@ struct PredictionServer::Impl
         }
     }
 
-    void readerLoop(ConnState &conn)
+    /** @p self rides along in queued requests, keeping the
+     *  ConnState alive after this reader exits. */
+    void readerLoop(const std::shared_ptr<ConnState> &self)
     {
-        // The shared_ptr alias keeps the ConnState alive inside
-        // queued requests even after this reader exits.
-        std::shared_ptr<ConnState> self;
-        {
-            std::lock_guard<std::mutex> lock(connMu);
-            for (const auto &c : conns) {
-                if (c.get() == &conn) {
-                    self = c;
-                    break;
-                }
-            }
-        }
-
+        ConnState &conn = *self;
         FrameDecoder decoder;
         std::vector<std::uint8_t> buffer(kReadChunkBytes);
         bool open = true;
@@ -515,6 +540,7 @@ struct PredictionServer::Impl
             }
         }
         conn.conn->close();
+        conn.readerDone = true;
     }
 
     // --- dispatch ------------------------------------------------

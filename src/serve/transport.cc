@@ -249,13 +249,23 @@ connectEndpoint(const std::string &address, int timeout_ms)
 
 namespace {
 
-/** A connected AF_UNIX stream socket. */
+/**
+ * A connected stream socket (AF_UNIX or TCP). close() only shuts the
+ * socket down, which wakes a reader blocked in recv() with EOF; the
+ * descriptor is released by the destructor, once no thread can still
+ * be reading or writing it. Closing it under a blocked reader would
+ * race, and a reused descriptor number could hand the reader some
+ * other socket's bytes.
+ */
 class SocketConnection : public Connection
 {
   public:
     explicit SocketConnection(int socket_fd) : fd(socket_fd) {}
 
-    ~SocketConnection() override { close(); }
+    ~SocketConnection() override { ::close(fd); }
+
+    SocketConnection(const SocketConnection &) = delete;
+    SocketConnection &operator=(const SocketConnection &) = delete;
 
     std::size_t read(void *buf, std::size_t max) override
     {
@@ -290,15 +300,13 @@ class SocketConnection : public Connection
 
     void close() override
     {
-        int expected = fd.load();
-        if (expected >= 0 && fd.compare_exchange_strong(expected, -1)) {
-            ::shutdown(expected, SHUT_RDWR);
-            ::close(expected);
-        }
+        if (!closed.exchange(true))
+            ::shutdown(fd, SHUT_RDWR);
     }
 
   private:
-    std::atomic<int> fd;
+    const int fd;
+    std::atomic<bool> closed{false};
 };
 
 } // namespace
@@ -322,8 +330,9 @@ setTcpNoDelay(int fd)
 
 /**
  * The shared accept loop: poll with a short timeout instead of
- * blocking in accept(2) — the stop flag is the only portable way to
- * end the loop without racing a concurrent close() of the fd.
+ * blocking in accept(2). close() raises the stop flag and shuts the
+ * socket down, which wakes the poll where the platform supports it;
+ * the flag, checked between polls, ends the loop everywhere else.
  */
 std::unique_ptr<Connection>
 acceptLoop(int fd, ListenerState &state, bool tcp_nodelay)
@@ -398,6 +407,7 @@ UnixListener::UnixListener(const std::string &path)
 UnixListener::~UnixListener()
 {
     close();
+    ::close(fd);
 }
 
 std::unique_ptr<Connection>
@@ -409,12 +419,11 @@ UnixListener::accept()
 void
 UnixListener::close()
 {
+    // The accept thread may be polling fd: wake it, and leave
+    // releasing the descriptor to the destructor.
     if (state->closing.exchange(true))
         return;
-    if (fd >= 0) {
-        ::close(fd);
-        fd = -1;
-    }
+    ::shutdown(fd, SHUT_RDWR);
     ::unlink(sockPath.c_str());
 }
 
@@ -487,6 +496,7 @@ TcpListener::TcpListener(const std::string &host, std::uint16_t port)
 TcpListener::~TcpListener()
 {
     close();
+    ::close(fd);
 }
 
 std::unique_ptr<Connection>
@@ -498,12 +508,10 @@ TcpListener::accept()
 void
 TcpListener::close()
 {
-    if (state->closing.exchange(true))
-        return;
-    if (fd >= 0) {
-        ::close(fd);
-        fd = -1;
-    }
+    // As UnixListener::close(): wake the accept thread, keep the
+    // descriptor until the destructor.
+    if (!state->closing.exchange(true))
+        ::shutdown(fd, SHUT_RDWR);
 }
 
 std::string

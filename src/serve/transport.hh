@@ -150,8 +150,10 @@ class UnixListener : public Listener
 
   private:
     std::string sockPath;
+    // Set by the constructor only: close() may race accept(), so it
+    // raises the flag (checked between polls) and shuts the socket
+    // down; the destructor releases the descriptor.
     int fd = -1;
-    // close() may race accept(); the flag is checked between polls.
     std::shared_ptr<struct ListenerState> state;
 };
 
@@ -185,7 +187,7 @@ class TcpListener : public Listener
   private:
     std::string bindHost;
     std::uint16_t boundPort = 0;
-    int fd = -1;
+    int fd = -1;  //!< As UnixListener's: constructor-set, dtor-closed.
     std::shared_ptr<struct ListenerState> state;
 };
 

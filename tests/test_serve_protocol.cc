@@ -14,6 +14,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <cstring>
 
 #include "accel/registry.hh"
@@ -21,6 +22,7 @@
 #include "serve/client.hh"
 #include "serve/protocol.hh"
 #include "serve/server.hh"
+#include "sim/experiment.hh"
 #include "util/random.hh"
 #include "workload/suite.hh"
 
@@ -44,22 +46,24 @@ rawHeader(std::uint32_t len, std::uint16_t type, std::uint16_t reserved)
     return bytes;
 }
 
-/** Read frames off @p conn until EOF; @return the frames seen. */
+/** Read frames off @p conn until EOF, or until @p want frames have
+ *  arrived; @return the frames seen. */
 std::vector<Frame>
-drainConnection(Connection &conn)
+drainConnection(Connection &conn, std::size_t want = SIZE_MAX)
 {
     std::vector<Frame> frames;
     FrameDecoder decoder;
     std::uint8_t buffer[512];
-    for (;;) {
+    while (frames.size() < want) {
         const std::size_t n = conn.read(buffer, sizeof(buffer));
         if (n == 0)
-            return frames;
+            break;
         decoder.feed(buffer, n);
         Frame frame;
         while (decoder.next(frame) == FrameDecoder::Status::Ready)
             frames.push_back(frame);
     }
+    return frames;
 }
 
 void
@@ -376,36 +380,51 @@ TEST(Protocol, DecodersRejectHostileLengthFields)
 TEST(Protocol, PredictBytesMatchFieldByFieldEncoding)
 {
     // encodePredict and decodePredict move item fields as whole
-    // blocks; on every design's test stream the bytes must equal a
-    // field-by-field little-endian encoding and decode back intact.
+    // blocks; on every design's test stream, and on a job whose items
+    // are wider than any design's (past FieldVec's inline storage),
+    // the bytes must equal a field-by-field little-endian encoding and
+    // decode back intact.
+    const auto check = [](const std::string &name,
+                          std::uint64_t request_id,
+                          const rtl::JobInput &job) {
+        const std::uint64_t deadline = request_id * 16700;
+        const std::vector<std::uint8_t> bytes =
+            encodePredict(7, request_id, deadline, job);
+        ASSERT_EQ(bytes, referencePredict(7, request_id, deadline, job))
+            << name << " request " << request_id;
+
+        PredictMsg back;
+        ASSERT_TRUE(decodePredict(bytes, back))
+            << name << " request " << request_id;
+        EXPECT_EQ(back.streamId, 7u);
+        EXPECT_EQ(back.requestId, request_id);
+        EXPECT_EQ(back.deadlineMicros, deadline);
+        ASSERT_EQ(back.job.items.size(), job.items.size());
+        for (std::size_t i = 0; i < job.items.size(); ++i) {
+            ASSERT_EQ(back.job.items[i].fields, job.items[i].fields)
+                << name << " request " << request_id << " item " << i;
+        }
+        ASSERT_EQ(encodePredict(back), bytes);
+    };
+
     for (const std::string &name : accel::benchmarkNames()) {
         const workload::BenchmarkWorkload work =
             workload::makeWorkload(*accel::makeAccelerator(name));
         std::uint64_t request_id = 0;
-        for (const rtl::JobInput &job : work.test) {
-            ++request_id;
-            const std::uint64_t deadline = request_id * 16700;
-            const std::vector<std::uint8_t> bytes =
-                encodePredict(7, request_id, deadline, job);
-            ASSERT_EQ(bytes, referencePredict(7, request_id, deadline,
-                                              job))
-                << name << " request " << request_id;
-
-            PredictMsg back;
-            ASSERT_TRUE(decodePredict(bytes, back))
-                << name << " request " << request_id;
-            EXPECT_EQ(back.streamId, 7u);
-            EXPECT_EQ(back.requestId, request_id);
-            EXPECT_EQ(back.deadlineMicros, deadline);
-            ASSERT_EQ(back.job.items.size(), job.items.size());
-            for (std::size_t i = 0; i < job.items.size(); ++i) {
-                ASSERT_EQ(back.job.items[i].fields, job.items[i].fields)
-                    << name << " request " << request_id << " item "
-                    << i;
-            }
-            ASSERT_EQ(encodePredict(back), bytes);
-        }
+        for (const rtl::JobInput &job : work.test)
+            check(name, ++request_id, job);
     }
+
+    rtl::JobInput wide;
+    for (const std::size_t width : {0, 7, 12, 3}) {
+        rtl::WorkItem item;
+        for (std::size_t f = 0; f < width; ++f) {
+            item.fields.push_back(static_cast<std::int64_t>(f) *
+                                  -3000000000LL);
+        }
+        wide.items.push_back(item);
+    }
+    check("wide items", 1, wide);
 }
 
 TEST(ServeProtocol, GarbageBytesGetTypedErrorThenClose)
@@ -474,7 +493,13 @@ TEST(ServeProtocol, BadMagicAndBadVersionAreRejected)
 
 TEST(ServeProtocol, RecoverableErrorsKeepTheConnectionOpen)
 {
+    // The in-process reference for the valid request sent last.
+    const sim::Experiment exp("sha", sim::ExperimentOptions{});
+    const rtl::JobInput &job = exp.workload().test.front();
+    const core::PreparedJob &want = exp.testPrepared().front();
+
     PredictionServer server;
+    const std::uint32_t sha = server.registerBenchmark("sha");
     const std::unique_ptr<Connection> conn = server.connectLoopback();
 
     // Unknown benchmark → typed error, connection stays usable.
@@ -490,25 +515,74 @@ TEST(ServeProtocol, RecoverableErrorsKeepTheConnectionOpen)
     sendAll(*conn,
             encodeFrame(MsgType::Predict, encodePredict(predict)));
 
+    // Items narrower or wider than the stream's design reads → typed
+    // error echoing the request id. The engine reads fields by index,
+    // so a short item must never reach it.
+    const auto shaPredict = [&](std::uint64_t request_id) {
+        PredictMsg msg;
+        msg.streamId = sha;
+        msg.requestId = request_id;
+        msg.job = job;
+        return msg;
+    };
+    PredictMsg short_item = shaPredict(55);
+    short_item.job.items.back().fields.clear();
+    sendAll(*conn,
+            encodeFrame(MsgType::Predict, encodePredict(short_item)));
+    PredictMsg long_item = shaPredict(56);
+    long_item.job.items.front().fields.push_back(0);
+    sendAll(*conn,
+            encodeFrame(MsgType::Predict, encodePredict(long_item)));
+
     // Unknown frame type → typed error, still open.
     sendAll(*conn, rawHeader(0, 999, 0));
 
-    // A Stats request still gets through after all three.
+    // A valid request is still answered, byte-exact.
+    sendAll(*conn,
+            encodeFrame(MsgType::Predict, encodePredict(shaPredict(57))));
+
+    // The reader answers the errors in order; the dispatcher's reply
+    // follows them. Collect all six before Bye closes the connection.
+    const std::vector<Frame> frames = drainConnection(*conn, 6);
+    ASSERT_EQ(frames.size(), 6u);
+
+    // A Stats request still gets through after all of them.
     sendAll(*conn, encodeFrame(MsgType::Stats, encodeStats(StatsMsg{})));
     sendAll(*conn, encodeFrame(MsgType::Bye, {}));
+    const std::vector<Frame> rest = drainConnection(*conn);
+    ASSERT_EQ(rest.size(), 1u);
+    EXPECT_EQ(static_cast<MsgType>(rest[0].type), MsgType::StatsReply);
 
-    const std::vector<Frame> frames = drainConnection(*conn);
-    ASSERT_EQ(frames.size(), 4u);
     EXPECT_EQ(static_cast<ErrorCode>(expectErrorFrame(frames[0]).code),
               ErrorCode::UnknownBenchmark);
     const ErrorMsg unknown_stream = expectErrorFrame(frames[1]);
     EXPECT_EQ(static_cast<ErrorCode>(unknown_stream.code),
               ErrorCode::UnknownStream);
     EXPECT_EQ(unknown_stream.requestId, 1234u);
-    EXPECT_EQ(static_cast<ErrorCode>(expectErrorFrame(frames[2]).code),
+    for (const std::size_t i : {std::size_t{2}, std::size_t{3}}) {
+        const ErrorMsg bad_width = expectErrorFrame(frames[i]);
+        EXPECT_EQ(static_cast<ErrorCode>(bad_width.code),
+                  ErrorCode::BadFrame);
+        EXPECT_EQ(bad_width.requestId, i == 2 ? 55u : 56u);
+        EXPECT_NE(bad_width.message.find("fields"), std::string::npos)
+            << bad_width.message;
+    }
+    EXPECT_EQ(static_cast<ErrorCode>(expectErrorFrame(frames[4]).code),
               ErrorCode::UnknownType);
-    EXPECT_EQ(static_cast<MsgType>(frames[3].type),
-              MsgType::StatsReply);
+
+    ASSERT_EQ(static_cast<MsgType>(frames[5].type),
+              MsgType::PredictReply);
+    PredictReplyMsg got;
+    ASSERT_TRUE(decodePredictReply(frames[5].payload, got));
+    EXPECT_EQ(got.requestId, 57u);
+    EXPECT_EQ(got.cycles, want.cycles);
+    EXPECT_EQ(got.energyUnits, want.energyUnits);
+    EXPECT_EQ(got.sliceCycles, want.sliceCycles);
+    EXPECT_EQ(got.sliceEnergyUnits, want.sliceEnergyUnits);
+    EXPECT_EQ(got.predictedCycles, want.predictedCycles);
+
+    // Refused requests are never counted: only the valid one was.
+    EXPECT_EQ(server.telemetry("sha").requests, 1u);
 }
 
 TEST(ServeProtocol, MidStreamDisconnectLeavesServerServing)
