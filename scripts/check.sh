@@ -28,7 +28,8 @@ stage_end() {
 }
 
 stage "configure"
-cmake -B build -G Ninja
+# CMAKE_COMPILE_WARNING_AS_ERROR needs CMake 3.24 or later.
+cmake -B build -G Ninja -DCMAKE_COMPILE_WARNING_AS_ERROR=ON
 
 stage "build"
 cmake --build build

@@ -11,41 +11,395 @@
 namespace predvfs {
 namespace serve {
 
-PredictionClient::PredictionClient(
-    std::unique_ptr<Connection> connection)
-    : PredictionClient(std::move(connection), RetryOptions{})
+namespace {
+
+/** Consecutive sends of one request that vanish *with no reply at
+ *  all* before giving up (fatal). A livelock detector, not a
+ *  contention bound: a `Busy` reply is the server answering this very
+ *  request (legitimate overload — competing bursts can starve a
+ *  request on a small queue for arbitrarily many rounds), so it
+ *  resets the count, as does any progress since the request's last
+ *  send. Only connection-loss re-sends accumulate. Callers wanting
+ *  bounded waiting under overload use deadlines. */
+constexpr unsigned kMaxAttempts = 32;
+
+/** Retry-enabled sync clients ship a burst in windows of at most this
+ *  many in-flight requests instead of writing the whole backlog at
+ *  once. Over a lossy transport an all-or-nothing round is
+ *  pathological — one mid-round sever voids every frame written, so
+ *  the chance of completing a round shrinks exponentially with burst
+ *  size. Windowing banks progress every window, at the cost of lower
+ *  server batch occupancy; clients without a retry policy keep
+ *  whole-burst pipelining. */
+constexpr std::size_t kMaxInflight = 16;
+
+/** First backoff after a Busy round; doubles each consecutive round,
+ *  capped at kMaxBackoffMicros. The server's retry-after hint raises
+ *  (never lowers) the wait. */
+constexpr std::uint64_t kBaseBackoffMicros = 200;
+constexpr std::uint64_t kMaxBackoffMicros = 20000;
+
+/** Dial attempts per (re)connect, each failed one backing off like a
+ *  Busy round, before giving up (fatal). */
+constexpr unsigned kReconnectAttempts = 8;
+
+} // namespace
+
+// ===================================================================
+// ClientSession
+// ===================================================================
+
+ClientSession::ClientSession(const char *name_,
+                             std::unique_ptr<Connection> connection,
+                             RetryOptions retry_)
+    : name(name_), retry(std::move(retry_)), conn(std::move(connection)),
+      readBuffer(kReadChunkBytes), jitter(retry.jitterSeed)
 {
+    util::fatalIf(!conn, name, ": null connection");
+    util::fatalIf(!handshake(), name,
+                  ": handshake failed (peer closed or sent garbage)");
 }
 
-PredictionClient::PredictionClient(
-    std::unique_ptr<Connection> connection, RetryOptions retry_)
-    : conn(std::move(connection)), retry(std::move(retry_)),
+ClientSession::ClientSession(const char *name_, RetryOptions retry_)
+    : name(name_), retry(std::move(retry_)), readBuffer(kReadChunkBytes),
       jitter(retry.jitterSeed)
 {
-    util::fatalIf(!conn, "PredictionClient: null connection");
-    util::fatalIf(!tryHandshake(),
-                  "PredictionClient: handshake failed (peer closed "
-                  "or sent garbage)");
+    util::fatalIf(!retry.enabled || !retry.connect, name,
+                  ": the dialling constructor needs RetryOptions with a "
+                  "connect factory");
+    dial();
 }
 
-PredictionClient::PredictionClient(RetryOptions retry_)
-    : retry(std::move(retry_)), jitter(retry.jitterSeed)
+bool
+ClientSession::dial()
 {
-    util::fatalIf(!retry.enabled || !retry.connect,
-                  "PredictionClient: the dialling constructor needs "
-                  "RetryOptions with a connect factory");
-    for (unsigned attempt = 0; attempt < retry.reconnectAttempts;
-         ++attempt) {
-        conn = retry.connect();
-        if (conn) {
+    // Re-open every stream the caller holds a handle to; ids may
+    // differ on the new connection (another server instance), so the
+    // table maps the caller's ids to the current ones.
+    const auto reopen = [this] {
+        for (auto &entry : streams) {
+            StreamOpenedMsg opened;
+            if (!openOnWire(entry.second.benchmark, opened))
+                return false;
+            std::lock_guard<std::mutex> lock(mu);
+            entry.second.wireId = opened.streamId;
+            entry.second.key = opened.streamKey;
+        }
+        return true;
+    };
+    for (unsigned attempt = 0; attempt < kReconnectAttempts; ++attempt) {
+        {
+            std::lock_guard<std::mutex> lock(mu);
+            if (closed)
+                return false;
+        }
+        std::unique_ptr<Connection> fresh = retry.connect();
+        if (fresh) {
+            {
+                // Checked again under both locks: a close() that ran
+                // since must not miss the connection it would close.
+                std::scoped_lock lock(mu, writeMu);
+                if (closed)
+                    return false;
+                conn = std::move(fresh);
+            }
             decoder = FrameDecoder{};
-            if (tryHandshake())
-                return;
+            if (handshake() && reopen())
+                return true;
         }
         backoff(attempt, 0);
     }
-    util::fatal("PredictionClient: could not establish a connection "
-                "in ", retry.reconnectAttempts, " attempts");
+    util::fatal(name, ": could not connect in ", kReconnectAttempts,
+                " attempts");
+}
+
+bool
+ClientSession::handshake()
+{
+    Frame reply;
+    if (!send(MsgType::Hello, encodeHello(HelloMsg{})) ||
+        !readFrame(reply))
+        return false;
+    // A typed error here (BadVersion, BadMagic) is a configuration
+    // mismatch, not a transient fault: no amount of redialling fixes
+    // it, so it stays fatal even under a retry policy.
+    raiseIfError(reply);
+    util::fatalIf(static_cast<MsgType>(reply.type) != MsgType::HelloOk,
+                  name, ": handshake got frame type ", reply.type,
+                  " instead of HelloOk");
+    return true;
+}
+
+bool
+ClientSession::openOnWire(const std::string &benchmark,
+                          StreamOpenedMsg &opened)
+{
+    OpenStreamMsg open;
+    open.benchmark = benchmark;
+    Frame reply;
+    if (!send(MsgType::OpenStream, encodeOpenStream(open)) ||
+        !readFrame(reply))
+        return false;
+    // UnknownBenchmark and friends are configuration errors — fatal
+    // whatever the retry policy, like the handshake.
+    raiseIfError(reply);
+    util::fatalIf(
+        static_cast<MsgType>(reply.type) != MsgType::StreamOpened, name,
+        ": OpenStream got frame type ", reply.type);
+    util::fatalIf(!decodeStreamOpened(reply.payload, opened), name,
+                  ": undecodable StreamOpened");
+    util::fatalIf(opened.streamId == 0, name,
+                  ": server assigned stream id 0");
+    return true;
+}
+
+std::uint32_t
+ClientSession::openStream(const std::string &benchmark)
+{
+    StreamOpenedMsg opened;
+    // A connection lost mid-open is redialled (fatal without a
+    // factory, the legacy behaviour).
+    while (!openOnWire(benchmark, opened)) {
+        util::fatalIf(!redial(), name,
+                      ": closed while opening a stream");
+    }
+    std::lock_guard<std::mutex> lock(mu);
+    streams[opened.streamId] =
+        Stream{benchmark, opened.streamId, opened.streamKey};
+    return opened.streamId;
+}
+
+const ClientSession::Stream &
+ClientSession::stream(std::uint32_t stream_id) const
+{
+    const auto it = streams.find(stream_id);
+    util::fatalIf(it == streams.end(), name, ": stream ", stream_id,
+                  " was never opened");
+    return it->second;
+}
+
+std::uint64_t
+ClientSession::streamKey(std::uint32_t stream_id) const
+{
+    std::lock_guard<std::mutex> lock(mu);
+    return stream(stream_id).key;
+}
+
+std::uint32_t
+ClientSession::wireId(std::uint32_t stream_id) const
+{
+    return stream(stream_id).wireId;
+}
+
+bool
+ClientSession::send(MsgType type,
+                    const std::vector<std::uint8_t> &payload)
+{
+    return sendFrame(encodeFrame(type, payload));
+}
+
+bool
+ClientSession::sendFrame(const std::vector<std::uint8_t> &frame)
+{
+    std::lock_guard<std::mutex> lock(writeMu);
+    return conn->writeAll(frame.data(), frame.size());
+}
+
+bool
+ClientSession::readFrame(Frame &out)
+{
+    std::string error;
+    for (;;) {
+        const FrameDecoder::Status status = decoder.next(out, &error);
+        if (status == FrameDecoder::Status::Ready)
+            return true;
+        if (status == FrameDecoder::Status::Error) {
+            // Garbage means the byte stream is unusable — the same
+            // recovery (drop it, maybe redial) as a hard close.
+            util::warn(name, ": server sent garbage: ", error);
+            return false;
+        }
+        const std::size_t n =
+            conn->read(readBuffer.data(), readBuffer.size());
+        if (n == 0)
+            return false;
+        decoder.feed(readBuffer.data(), n);
+    }
+}
+
+bool
+ClientSession::redial()
+{
+    util::fatalIf(!retry.enabled || !retry.connect, name,
+                  ": connection lost (no reconnect factory configured)");
+    if (!dial())
+        return false;
+    std::lock_guard<std::mutex> lock(mu);
+    ++counters.reconnects;
+    return true;
+}
+
+std::uint64_t
+ClientSession::backoffMicros(unsigned round, std::uint64_t floor_micros)
+{
+    std::uint64_t wait = std::min(
+        kBaseBackoffMicros << std::min(round, 20u), kMaxBackoffMicros);
+    // Jitter desynchronises retrying clients without giving up
+    // reproducibility: the schedule is a pure function of jitterSeed.
+    wait = static_cast<std::uint64_t>(
+        static_cast<double>(wait) * (0.5 + 0.5 * jitter.uniform()));
+    ++counters.backoffSleeps;
+    return std::max(wait, floor_micros);
+}
+
+void
+ClientSession::backoff(unsigned round, std::uint64_t floor_micros)
+{
+    std::uint64_t wait = 0;
+    {
+        std::lock_guard<std::mutex> lock(mu);
+        wait = backoffMicros(round, floor_micros);
+    }
+    if (wait > 0)
+        std::this_thread::sleep_for(std::chrono::microseconds(wait));
+}
+
+void
+ClientSession::countSend(SendRecord &record, std::uint64_t request_id,
+                         std::uint64_t progress)
+{
+    // kMaxAttempts bounds livelock, not contention: accept() resets
+    // the count on a Busy, and any progress since the last send
+    // starts it over, so only sends that vanish with no reply at all
+    // while nothing else completes accumulate.
+    if (record.unanswered > 0 && progress > record.progressAtSend)
+        record.unanswered = 0;
+    ++record.unanswered;
+    util::fatalIf(record.unanswered > kMaxAttempts, name, ": request ",
+                  request_id, " re-sent ", kMaxAttempts,
+                  " times with no reply and no progress");
+    if (record.everSent)
+        ++counters.retries;
+    record.everSent = true;
+    record.progressAtSend = progress;
+    ++counters.requestsSent;
+}
+
+ClientSession::Answer
+ClientSession::classify(const Frame &frame) const
+{
+    Answer answer;
+    if (static_cast<MsgType>(frame.type) == MsgType::PredictReply) {
+        util::fatalIf(!decodePredictReply(frame.payload,
+                                          answer.outcome.reply),
+                      name, ": undecodable PredictReply");
+        answer.requestId = answer.outcome.reply.requestId;
+        answer.outcome.ok = true;
+        return answer;
+    }
+    util::fatalIf(static_cast<MsgType>(frame.type) != MsgType::Error,
+                  name, ": expected PredictReply, got type ",
+                  frame.type);
+    ErrorMsg error;
+    util::fatalIf(!decodeError(frame.payload, error), name,
+                  ": undecodable Error frame");
+    answer.requestId = error.requestId;
+    answer.retryAfterMicros = error.retryAfterMicros;
+    answer.outcome.error = static_cast<ErrorCode>(error.code);
+    switch (answer.outcome.error) {
+      case ErrorCode::Busy:
+        util::fatalIf(!retry.enabled, name,
+                      ": server busy and retries are disabled "
+                      "(request ", error.requestId, ")");
+        answer.kind = Answer::Kind::Busy;
+        return answer;
+      case ErrorCode::DeadlineExceeded:
+        // Terminal by design: the deadline was the caller's promise
+        // that a late answer is worthless.
+        answer.kind = Answer::Kind::DeadlineExceeded;
+        return answer;
+      case ErrorCode::ShuttingDown:
+        // The connection is a dead end; with a factory, everything
+        // still unanswered moves to a fresh one.
+        if (!retry.enabled || !retry.connect)
+            break;
+        answer.kind = Answer::Kind::ShuttingDown;
+        return answer;
+      default:
+        break;
+    }
+    raiseIfError(frame);  // Anything else is fatal.
+    return answer;
+}
+
+bool
+ClientSession::accept(const Answer &answer, SendRecord *live)
+{
+    if (!live) {
+        // A re-send reuses its requestId, so however many copies
+        // race, the first answer lands and later ones are counted.
+        util::fatalIf(!retry.enabled, name,
+                      ": duplicate or unknown reply for request ",
+                      answer.requestId);
+        ++counters.duplicateReplies;
+        return false;
+    }
+    if (answer.kind == Answer::Kind::Busy) {
+        ++counters.busyReplies;
+        live->unanswered = 0;  // Answered; the server lives.
+    } else if (answer.kind == Answer::Kind::DeadlineExceeded) {
+        ++counters.deadlineExpired;
+    }
+    return true;
+}
+
+void
+ClientSession::raiseIfError(const Frame &frame) const
+{
+    if (static_cast<MsgType>(frame.type) != MsgType::Error)
+        return;
+    ErrorMsg msg;
+    util::fatalIf(!decodeError(frame.payload, msg), name,
+                  ": server sent an undecodable Error frame");
+    util::fatal(name, ": server error ",
+                errorCodeName(static_cast<ErrorCode>(msg.code)),
+                " (request ", msg.requestId, "): ", msg.message);
+}
+
+void
+ClientSession::dropConnection()
+{
+    std::lock_guard<std::mutex> lock(writeMu);
+    if (conn)
+        conn->close();
+}
+
+bool
+ClientSession::close()
+{
+    {
+        std::lock_guard<std::mutex> lock(mu);
+        if (closed)
+            return false;
+        closed = true;
+    }
+    dropConnection();
+    return true;
+}
+
+// ===================================================================
+// PredictionClient: drives the session on the calling thread.
+// ===================================================================
+
+PredictionClient::PredictionClient(
+    std::unique_ptr<Connection> connection, RetryOptions retry)
+    : session("PredictionClient", std::move(connection), std::move(retry))
+{
+}
+
+PredictionClient::PredictionClient(RetryOptions retry)
+    : session("PredictionClient", std::move(retry))
+{
 }
 
 PredictionClient::~PredictionClient()
@@ -53,141 +407,17 @@ PredictionClient::~PredictionClient()
     bye();
 }
 
-bool
-PredictionClient::tryHandshake()
-{
-    if (!trySend(MsgType::Hello, encodeHello(HelloMsg{})))
-        return false;
-    Frame reply;
-    if (tryReadFrame(reply) != ReadStatus::Ok)
-        return false;
-    // A typed error here (BadVersion, BadMagic) is a configuration
-    // mismatch, not a transient fault: no amount of redialling fixes
-    // it, so it stays fatal even under a retry policy.
-    raiseIfError(reply);
-    util::fatalIf(static_cast<MsgType>(reply.type) != MsgType::HelloOk,
-                  "PredictionClient: handshake got frame type ",
-                  reply.type, " instead of HelloOk");
-    return true;
-}
-
-std::uint32_t
-PredictionClient::openStreamRaw(const std::string &benchmark)
-{
-    OpenStreamMsg open;
-    open.benchmark = benchmark;
-    if (!trySend(MsgType::OpenStream, encodeOpenStream(open)))
-        return 0;
-    Frame reply;
-    if (tryReadFrame(reply) != ReadStatus::Ok)
-        return 0;
-    // UnknownBenchmark and friends are configuration errors — fatal
-    // whatever the retry policy, like the handshake above.
-    raiseIfError(reply);
-    util::fatalIf(
-        static_cast<MsgType>(reply.type) != MsgType::StreamOpened,
-        "PredictionClient: OpenStream got frame type ", reply.type);
-    StreamOpenedMsg opened;
-    util::fatalIf(!decodeStreamOpened(reply.payload, opened),
-                  "PredictionClient: undecodable StreamOpened");
-    util::fatalIf(opened.streamId == 0,
-                  "PredictionClient: server assigned stream id 0");
-    streamKeys[opened.streamId] = opened.streamKey;
-    return opened.streamId;
-}
-
 std::uint32_t
 PredictionClient::openStream(const std::string &benchmark)
 {
-    for (;;) {
-        const std::uint32_t id = openStreamRaw(benchmark);
-        if (id != 0) {
-            streamBench[id] = benchmark;
-            remap[id] = id;
-            return id;
-        }
-        // 0 = connection lost mid-open; reconnect() is fatal without
-        // a factory, preserving the legacy behaviour.
-        reconnect();
-    }
+    util::fatalIf(session.closed, "PredictionClient: used after bye()");
+    return session.openStream(benchmark);
 }
 
 std::uint64_t
 PredictionClient::streamKey(std::uint32_t stream_id) const
 {
-    const auto it = streamKeys.find(stream_id);
-    util::fatalIf(it == streamKeys.end(),
-                  "PredictionClient: stream ", stream_id,
-                  " was never opened");
-    return it->second;
-}
-
-std::uint32_t
-PredictionClient::activeId(std::uint32_t stream_id) const
-{
-    const auto it = remap.find(stream_id);
-    util::fatalIf(it == remap.end(), "PredictionClient: stream ",
-                  stream_id, " was never opened");
-    return it->second;
-}
-
-void
-PredictionClient::reconnect()
-{
-    util::fatalIf(!retry.enabled || !retry.connect,
-                  "PredictionClient: connection lost (no reconnect "
-                  "factory configured)");
-    for (unsigned attempt = 0; attempt < retry.reconnectAttempts;
-         ++attempt) {
-        std::unique_ptr<Connection> fresh = retry.connect();
-        if (!fresh) {
-            backoff(attempt, 0);
-            continue;
-        }
-        conn = std::move(fresh);
-        decoder = FrameDecoder{};
-        if (!tryHandshake()) {
-            backoff(attempt, 0);
-            continue;
-        }
-        // Re-open every stream the caller holds a handle to; ids may
-        // differ on the new connection (another server instance), so
-        // the remap table translates at send time.
-        bool opened_all = true;
-        for (const auto &entry : streamBench) {
-            const std::uint32_t fresh_id =
-                openStreamRaw(entry.second);
-            if (fresh_id == 0) {
-                opened_all = false;
-                break;
-            }
-            remap[entry.first] = fresh_id;
-        }
-        if (!opened_all) {
-            backoff(attempt, 0);
-            continue;
-        }
-        ++counters.reconnects;
-        return;
-    }
-    util::fatal("PredictionClient: reconnect failed after ",
-                retry.reconnectAttempts, " attempts");
-}
-
-void
-PredictionClient::backoff(unsigned round, std::uint64_t floor_micros)
-{
-    std::uint64_t wait = retry.baseBackoffMicros
-        << std::min(round, 20u);
-    wait = std::min(wait, retry.maxBackoffMicros);
-    // Jitter desynchronises retrying clients without giving up
-    // reproducibility: the schedule is a pure function of jitterSeed.
-    wait = static_cast<std::uint64_t>(
-        static_cast<double>(wait) * (0.5 + 0.5 * jitter.uniform()));
-    wait = std::max(wait, floor_micros);
-    ++counters.backoffSleeps;
-    if (wait > 0)
-        std::this_thread::sleep_for(std::chrono::microseconds(wait));
+    return session.streamKey(stream_id);
 }
 
 PredictReplyMsg
@@ -221,6 +451,8 @@ PredictionClient::predictManyOutcomes(
     std::uint32_t stream_id, std::span<const rtl::JobInput> jobs,
     std::uint64_t deadline_micros)
 {
+    util::fatalIf(session.closed, "PredictionClient: used after bye()");
+    using Kind = ClientSession::Answer::Kind;
     enum class State { NeedSend, Sent, Done };
     struct Slot
     {
@@ -228,9 +460,7 @@ PredictionClient::predictManyOutcomes(
         const rtl::JobInput *job = nullptr;
         State state = State::NeedSend;
         bool parked = false;  //!< Waiting out a Busy before re-send.
-        bool everSent = false;
-        unsigned unanswered = 0;  //!< Consecutive sends with no reply.
-        std::size_t doneAtSend = 0;  //!< Burst progress at last send.
+        ClientSession::SendRecord sends;
         PredictOutcome outcome;
     };
 
@@ -241,35 +471,18 @@ PredictionClient::predictManyOutcomes(
     std::unordered_map<std::uint64_t, std::size_t> inflight;
     inflight.reserve(jobs.size());
     for (std::size_t i = 0; i < jobs.size(); ++i) {
-        slots[i].requestId = nextRequestId++;
+        slots[i].requestId = session.nextRequestId++;
         slots[i].job = &jobs[i];
         inflight[slots[i].requestId] = i;
     }
 
     std::size_t done = 0;
     const auto sendSlot = [&](Slot &slot) -> bool {
-        // maxAttempts bounds *livelock*, not contention. A Busy reply
-        // is the server answering this very request — legitimate
-        // overload, resolved when competing bursts drain, so it
-        // resets the count (below, where it's received). Only sends
-        // that vanish with no reply at all (connection-loss re-sends)
-        // accumulate, and any burst progress since this slot's last
-        // send starts the count over too.
-        if (slot.unanswered > 0 && done > slot.doneAtSend)
-            slot.unanswered = 0;
-        ++slot.unanswered;
-        util::fatalIf(slot.unanswered > retry.maxAttempts,
-                      "PredictionClient: request ", slot.requestId,
-                      " re-sent ", retry.maxAttempts,
-                      " times with no reply and no burst progress");
-        if (slot.everSent)
-            ++counters.retries;
-        slot.everSent = true;
-        slot.doneAtSend = done;
-        ++counters.requestsSent;
-        return trySend(MsgType::Predict,
-                       encodePredict(activeId(stream_id), slot.requestId,
-                                     deadline_micros, *slot.job));
+        session.countSend(slot.sends, slot.requestId, done);
+        return session.send(
+            MsgType::Predict,
+            encodePredict(session.wireId(stream_id), slot.requestId,
+                          deadline_micros, *slot.job));
     };
 
     const auto onConnectionLost = [&] {
@@ -280,7 +493,7 @@ PredictionClient::predictManyOutcomes(
             if (slot.state == State::Sent)
                 slot.state = State::NeedSend;
         }
-        reconnect();
+        session.redial();  // Fatal without a factory.
     };
 
     unsigned busy_round = 0;
@@ -302,15 +515,13 @@ PredictionClient::predictManyOutcomes(
             // Nothing in flight to wait on: ship the backlog. Busy-
             // parked requests wait out the backoff first — the queue
             // that bounced them needs a window to drain. With a retry
-            // policy the round is capped at maxInflight so a sever
-            // only voids one window, not the whole burst (see the
-            // RetryOptions doc); plain clients pipeline everything.
+            // policy the round is capped at kMaxInflight so a sever
+            // only voids one window, not the whole burst; plain
+            // clients pipeline everything.
             if (any_parked)
-                backoff(busy_round++, busy_floor);
+                session.backoff(busy_round++, busy_floor);
             const std::size_t window =
-                retry.enabled && retry.maxInflight > 0
-                ? retry.maxInflight
-                : slots.size();
+                session.retry.enabled ? kMaxInflight : slots.size();
             std::size_t shipped = 0;
             bool lost = false;
             for (Slot &slot : slots) {
@@ -332,81 +543,34 @@ PredictionClient::predictManyOutcomes(
         }
 
         Frame frame;
-        if (tryReadFrame(frame) != ReadStatus::Ok) {
+        if (!session.readFrame(frame)) {
             onConnectionLost();
             continue;
         }
-
-        if (static_cast<MsgType>(frame.type) == MsgType::PredictReply) {
-            PredictReplyMsg reply;
-            util::fatalIf(!decodePredictReply(frame.payload, reply),
-                          "PredictionClient: undecodable "
-                          "PredictReply");
-            const auto it = inflight.find(reply.requestId);
-            if (it == inflight.end() ||
-                slots[it->second].state == State::Done) {
-                util::fatalIf(!retry.enabled,
-                              "PredictionClient: duplicate or unknown "
-                              "reply for request ", reply.requestId);
-                ++counters.duplicateReplies;
-                continue;
-            }
-            Slot &slot = slots[it->second];
-            slot.state = State::Done;
-            slot.outcome.ok = true;
-            slot.outcome.reply = reply;
-            ++done;
+        const ClientSession::Answer answer = session.classify(frame);
+        if (answer.kind == Kind::ShuttingDown) {
+            session.dropConnection();
+            onConnectionLost();
+            continue;
+        }
+        const auto it = inflight.find(answer.requestId);
+        Slot *slot = it != inflight.end() &&
+                slots[it->second].state != State::Done
+            ? &slots[it->second]
+            : nullptr;
+        if (!session.accept(answer, slot ? &slot->sends : nullptr))
+            continue;
+        if (answer.kind == Kind::Busy) {
+            busy_floor = answer.retryAfterMicros;
+            slot->state = State::NeedSend;
+            slot->parked = true;
+            continue;
+        }
+        slot->state = State::Done;
+        slot->outcome = answer.outcome;
+        ++done;
+        if (answer.outcome.ok)
             busy_round = 0;  // The server is accepting work again.
-            continue;
-        }
-
-        if (static_cast<MsgType>(frame.type) == MsgType::Error) {
-            ErrorMsg error;
-            util::fatalIf(!decodeError(frame.payload, error),
-                          "PredictionClient: undecodable Error frame");
-            const ErrorCode code = static_cast<ErrorCode>(error.code);
-            const auto it = inflight.find(error.requestId);
-            Slot *slot = (it != inflight.end() &&
-                          slots[it->second].state != State::Done)
-                ? &slots[it->second]
-                : nullptr;
-
-            if (code == ErrorCode::Busy && slot) {
-                util::fatalIf(!retry.enabled,
-                              "PredictionClient: server busy and "
-                              "retries are disabled (request ",
-                              error.requestId, ")");
-                ++counters.busyReplies;
-                busy_floor = error.retryAfterMicros;
-                slot->state = State::NeedSend;
-                slot->parked = true;
-                slot->unanswered = 0;  // Answered; the server lives.
-                continue;
-            }
-            if (code == ErrorCode::DeadlineExceeded && slot) {
-                // Terminal by design: the deadline was the caller's
-                // promise that a late answer is worthless.
-                ++counters.deadlineExpired;
-                slot->state = State::Done;
-                slot->outcome.ok = false;
-                slot->outcome.error = code;
-                ++done;
-                continue;
-            }
-            if (code == ErrorCode::ShuttingDown && retry.enabled &&
-                retry.connect) {
-                // The connection is a dead end; everything still
-                // unanswered moves to a fresh one.
-                conn->close();
-                onConnectionLost();
-                continue;
-            }
-            raiseIfError(frame);  // Anything else is fatal.
-            continue;
-        }
-
-        util::fatal("PredictionClient: expected PredictReply, got "
-                    "type ", frame.type);
     }
 
     std::vector<PredictOutcome> outcomes;
@@ -419,27 +583,27 @@ PredictionClient::predictManyOutcomes(
 std::string
 PredictionClient::statsJson()
 {
+    util::fatalIf(session.closed, "PredictionClient: used after bye()");
     std::string server_doc;
     for (;;) {
-        if (trySend(MsgType::Stats, encodeStats(StatsMsg{}))) {
-            Frame frame;
-            if (tryReadFrame(frame) == ReadStatus::Ok) {
-                raiseIfError(frame);
-                util::fatalIf(static_cast<MsgType>(frame.type) !=
-                                  MsgType::StatsReply,
-                              "PredictionClient: expected StatsReply, "
-                              "got type ", frame.type);
-                StatsReplyMsg reply;
-                util::fatalIf(
-                    !decodeStatsReply(frame.payload, reply),
-                    "PredictionClient: undecodable StatsReply");
-                server_doc = std::move(reply.json);
-                break;
-            }
+        Frame frame;
+        if (session.send(MsgType::Stats, encodeStats(StatsMsg{})) &&
+            session.readFrame(frame)) {
+            session.raiseIfError(frame);
+            util::fatalIf(static_cast<MsgType>(frame.type) !=
+                              MsgType::StatsReply,
+                          "PredictionClient: expected StatsReply, got "
+                          "type ", frame.type);
+            StatsReplyMsg reply;
+            util::fatalIf(!decodeStatsReply(frame.payload, reply),
+                          "PredictionClient: undecodable StatsReply");
+            server_doc = std::move(reply.json);
+            break;
         }
-        reconnect();  // Fatal without a factory — legacy behaviour.
+        session.redial();  // Fatal without a factory.
     }
 
+    const ClientStats &counters = session.counters;
     std::ostringstream os;
     os << "{\n"
        << "  \"client\": {\n"
@@ -460,68 +624,16 @@ PredictionClient::statsJson()
 void
 PredictionClient::bye()
 {
-    if (closed)
+    if (session.closed)
         return;
-    closed = true;
     // Best effort: the server may already be gone.
-    if (conn) {
-        const std::vector<std::uint8_t> frame =
-            encodeFrame(MsgType::Bye, {});
-        conn->writeAll(frame.data(), frame.size());
-        conn->close();
-    }
-}
-
-PredictionClient::ReadStatus
-PredictionClient::tryReadFrame(Frame &out)
-{
-    util::fatalIf(closed, "PredictionClient: used after bye()");
-    std::string error;
-    for (;;) {
-        const FrameDecoder::Status status = decoder.next(out, &error);
-        if (status == FrameDecoder::Status::Ready)
-            return ReadStatus::Ok;
-        if (status == FrameDecoder::Status::Error) {
-            // Garbage means the byte stream is unusable — the same
-            // recovery (drop it, maybe redial) as a hard close.
-            util::warn("PredictionClient: server sent garbage: ",
-                       error);
-            return ReadStatus::Lost;
-        }
-        std::uint8_t buffer[4096];
-        const std::size_t n = conn->read(buffer, sizeof(buffer));
-        if (n == 0)
-            return ReadStatus::Lost;
-        decoder.feed(buffer, n);
-    }
-}
-
-bool
-PredictionClient::trySend(MsgType type,
-                          const std::vector<std::uint8_t> &payload)
-{
-    util::fatalIf(closed, "PredictionClient: used after bye()");
-    const std::vector<std::uint8_t> frame = encodeFrame(type, payload);
-    return conn->writeAll(frame.data(), frame.size());
-}
-
-void
-PredictionClient::raiseIfError(const Frame &frame)
-{
-    if (static_cast<MsgType>(frame.type) != MsgType::Error)
-        return;
-    ErrorMsg msg;
-    if (!decodeError(frame.payload, msg)) {
-        util::fatal("PredictionClient: server sent an undecodable "
-                    "Error frame");
-    }
-    util::fatal("PredictionClient: server error ",
-                errorCodeName(static_cast<ErrorCode>(msg.code)),
-                " (request ", msg.requestId, "): ", msg.message);
+    session.send(MsgType::Bye, {});
+    session.close();
 }
 
 // ===================================================================
-// AsyncPredictionClient
+// AsyncPredictionClient: a sender and a receiver thread share the
+// session.
 // ===================================================================
 
 namespace {
@@ -544,54 +656,18 @@ reencodeForStream(const std::vector<std::uint8_t> &frame,
         encodeFrame(MsgType::Predict, encodePredict(request)));
 }
 
-/** fatal() with the server's message if @p frame is an Error. */
-void
-raiseServerError(const Frame &frame)
-{
-    if (static_cast<MsgType>(frame.type) != MsgType::Error)
-        return;
-    ErrorMsg msg;
-    if (!decodeError(frame.payload, msg)) {
-        util::fatal("AsyncPredictionClient: server sent an "
-                    "undecodable Error frame");
-    }
-    util::fatal("AsyncPredictionClient: server error ",
-                errorCodeName(static_cast<ErrorCode>(msg.code)),
-                " (request ", msg.requestId, "): ", msg.message);
-}
-
 } // namespace
 
 AsyncPredictionClient::AsyncPredictionClient(
-    std::unique_ptr<Connection> connection, RetryOptions retry_)
-    : conn(std::move(connection)), retry(std::move(retry_)),
-      jitter(retry.jitterSeed)
+    std::unique_ptr<Connection> connection, RetryOptions retry)
+    : session("AsyncPredictionClient", std::move(connection),
+              std::move(retry))
 {
-    util::fatalIf(!conn, "AsyncPredictionClient: null connection");
-    util::fatalIf(!syncHandshake(),
-                  "AsyncPredictionClient: handshake failed (peer "
-                  "closed or sent garbage)");
 }
 
-AsyncPredictionClient::AsyncPredictionClient(RetryOptions retry_)
-    : retry(std::move(retry_)), jitter(retry.jitterSeed)
+AsyncPredictionClient::AsyncPredictionClient(RetryOptions retry)
+    : session("AsyncPredictionClient", std::move(retry))
 {
-    util::fatalIf(!retry.enabled || !retry.connect,
-                  "AsyncPredictionClient: the dialling constructor "
-                  "needs RetryOptions with a connect factory");
-    for (unsigned attempt = 0; attempt < retry.reconnectAttempts;
-         ++attempt) {
-        conn = retry.connect();
-        if (conn) {
-            decoder = FrameDecoder{};
-            if (syncHandshake())
-                return;
-        }
-        sleepBackoff(attempt, 0);
-    }
-    util::fatal("AsyncPredictionClient: could not establish a "
-                "connection in ", retry.reconnectAttempts,
-                " attempts");
 }
 
 AsyncPredictionClient::~AsyncPredictionClient()
@@ -599,168 +675,22 @@ AsyncPredictionClient::~AsyncPredictionClient()
     close();
 }
 
-bool
-AsyncPredictionClient::sendRaw(MsgType type,
-                               const std::vector<std::uint8_t> &payload)
-{
-    const std::vector<std::uint8_t> frame = encodeFrame(type, payload);
-    std::lock_guard<std::mutex> lock(writeMu);
-    return conn->writeAll(frame.data(), frame.size());
-}
-
-bool
-AsyncPredictionClient::syncReadFrame(Frame &out)
-{
-    std::string error;
-    for (;;) {
-        const FrameDecoder::Status status = decoder.next(out, &error);
-        if (status == FrameDecoder::Status::Ready)
-            return true;
-        if (status == FrameDecoder::Status::Error) {
-            util::warn("AsyncPredictionClient: server sent garbage: ",
-                       error);
-            return false;
-        }
-        std::uint8_t buffer[4096];
-        const std::size_t n = conn->read(buffer, sizeof(buffer));
-        if (n == 0)
-            return false;
-        decoder.feed(buffer, n);
-    }
-}
-
-bool
-AsyncPredictionClient::syncHandshake()
-{
-    if (!sendRaw(MsgType::Hello, encodeHello(HelloMsg{})))
-        return false;
-    Frame reply;
-    if (!syncReadFrame(reply))
-        return false;
-    // Typed errors here (BadVersion, BadMagic) are configuration
-    // mismatches — fatal whatever the retry policy.
-    raiseServerError(reply);
-    util::fatalIf(static_cast<MsgType>(reply.type) != MsgType::HelloOk,
-                  "AsyncPredictionClient: handshake got frame type ",
-                  reply.type, " instead of HelloOk");
-    return true;
-}
-
-std::uint32_t
-AsyncPredictionClient::syncOpenStream(const std::string &benchmark)
-{
-    OpenStreamMsg open;
-    open.benchmark = benchmark;
-    if (!sendRaw(MsgType::OpenStream, encodeOpenStream(open)))
-        return 0;
-    Frame reply;
-    if (!syncReadFrame(reply))
-        return 0;
-    raiseServerError(reply);
-    util::fatalIf(
-        static_cast<MsgType>(reply.type) != MsgType::StreamOpened,
-        "AsyncPredictionClient: OpenStream got frame type ",
-        reply.type);
-    StreamOpenedMsg opened;
-    util::fatalIf(!decodeStreamOpened(reply.payload, opened),
-                  "AsyncPredictionClient: undecodable StreamOpened");
-    util::fatalIf(opened.streamId == 0,
-                  "AsyncPredictionClient: server assigned stream id 0");
-    streamKeys[opened.streamId] = opened.streamKey;
-    return opened.streamId;
-}
-
 std::uint32_t
 AsyncPredictionClient::openStream(const std::string &benchmark)
 {
     {
-        std::lock_guard<std::mutex> lock(mu);
+        std::lock_guard<std::mutex> lock(session.mu);
         util::fatalIf(threadsStarted,
                       "AsyncPredictionClient: open every stream "
                       "before the first submit()");
     }
-    for (;;) {
-        const std::uint32_t id = syncOpenStream(benchmark);
-        if (id != 0) {
-            streamBench[id] = benchmark;
-            remap[id] = id;
-            return id;
-        }
-        // Connection lost mid-open before any submit: redial inline.
-        util::fatalIf(!retry.enabled || !retry.connect,
-                      "AsyncPredictionClient: connection lost (no "
-                      "reconnect factory configured)");
-        bool redialled = false;
-        for (unsigned attempt = 0;
-             attempt < retry.reconnectAttempts && !redialled;
-             ++attempt) {
-            std::unique_ptr<Connection> fresh = retry.connect();
-            if (fresh) {
-                conn = std::move(fresh);
-                decoder = FrameDecoder{};
-                if (syncHandshake()) {
-                    redialled = true;
-                    break;
-                }
-            }
-            sleepBackoff(attempt, 0);
-        }
-        util::fatalIf(!redialled,
-                      "AsyncPredictionClient: reconnect failed after ",
-                      retry.reconnectAttempts, " attempts");
-        {
-            std::lock_guard<std::mutex> lock(mu);
-            ++counters.reconnects;
-        }
-    }
+    return session.openStream(benchmark);
 }
 
 std::uint64_t
 AsyncPredictionClient::streamKey(std::uint32_t stream_id) const
 {
-    const auto it = streamKeys.find(stream_id);
-    util::fatalIf(it == streamKeys.end(),
-                  "AsyncPredictionClient: stream ", stream_id,
-                  " was never opened");
-    return it->second;
-}
-
-std::uint64_t
-AsyncPredictionClient::backoffMicros(unsigned round,
-                                     std::uint64_t floor_micros)
-{
-    std::uint64_t wait = retry.baseBackoffMicros
-        << std::min(round, 20u);
-    wait = std::min(wait, retry.maxBackoffMicros);
-    wait = static_cast<std::uint64_t>(
-        static_cast<double>(wait) * (0.5 + 0.5 * jitter.uniform()));
-    wait = std::max(wait, floor_micros);
-    ++counters.backoffSleeps;
-    return wait;
-}
-
-void
-AsyncPredictionClient::sleepBackoff(unsigned round,
-                                    std::uint64_t floor_micros)
-{
-    std::uint64_t wait = 0;
-    {
-        std::lock_guard<std::mutex> lock(mu);
-        wait = backoffMicros(round, floor_micros);
-    }
-    if (wait > 0)
-        std::this_thread::sleep_for(std::chrono::microseconds(wait));
-}
-
-void
-AsyncPredictionClient::startThreads()
-{
-    std::lock_guard<std::mutex> lock(mu);
-    if (threadsStarted)
-        return;
-    threadsStarted = true;
-    sender = std::thread([this] { senderLoop(); });
-    receiver = std::thread([this] { receiverLoop(); });
+    return session.streamKey(stream_id);
 }
 
 std::uint64_t
@@ -768,19 +698,19 @@ AsyncPredictionClient::submit(std::uint32_t stream_id,
                               const rtl::JobInput &job, Callback done,
                               std::uint64_t deadline_micros)
 {
-    startThreads();
     std::uint64_t id = 0;
     std::uint32_t wire_id = 0;
     {
-        std::lock_guard<std::mutex> lock(mu);
-        util::fatalIf(closing,
+        std::lock_guard<std::mutex> lock(session.mu);
+        if (!threadsStarted) {
+            threadsStarted = true;
+            sender = std::thread([this] { senderLoop(); });
+            receiver = std::thread([this] { receiverLoop(); });
+        }
+        util::fatalIf(session.closed,
                       "AsyncPredictionClient: submit() after close()");
-        const auto mapped = remap.find(stream_id);
-        util::fatalIf(mapped == remap.end(),
-                      "AsyncPredictionClient: stream ", stream_id,
-                      " was never opened");
-        id = nextRequestId++;
-        wire_id = mapped->second;
+        wire_id = session.wireId(stream_id);
+        id = session.nextRequestId++;
     }
 
     // Encoded once, straight from the caller's job and outside mu, so
@@ -794,8 +724,8 @@ AsyncPredictionClient::submit(std::uint32_t stream_id,
                     encodePredict(wire_id, id, deadline_micros, job)));
     slot.done = std::move(done);
 
-    std::lock_guard<std::mutex> lock(mu);
-    util::fatalIf(closing,
+    std::lock_guard<std::mutex> lock(session.mu);
+    util::fatalIf(session.closed,
                   "AsyncPredictionClient: submit() after close()");
     inflight.emplace(id, std::move(slot));
     sendQueue.push_back(id);
@@ -806,12 +736,12 @@ AsyncPredictionClient::submit(std::uint32_t stream_id,
 void
 AsyncPredictionClient::senderLoop()
 {
-    std::unique_lock<std::mutex> lock(mu);
+    std::unique_lock<std::mutex> lock(session.mu);
     for (;;) {
         cv.wait(lock, [this] {
-            return closing || (!sendQueue.empty() && !reconnecting);
+            return session.closed || (!sendQueue.empty() && !reconnecting);
         });
-        if (closing)
+        if (session.closed)
             return;
 
         // Retired slots can linger in the queue (a duplicate reply
@@ -845,44 +775,24 @@ AsyncPredictionClient::senderLoop()
         sendQueue.erase(sendQueue.begin() +
                         static_cast<std::ptrdiff_t>(pick));
         Slot &slot = inflight[id];
-
-        // Same livelock accounting as the synchronous client: Busy
-        // replies and completion progress reset the count; only sends
-        // that vanish without any reply accumulate.
-        if (slot.unanswered > 0 && completedCount > slot.completedAtSend)
-            slot.unanswered = 0;
-        ++slot.unanswered;
-        util::fatalIf(slot.unanswered > retry.maxAttempts,
-                      "AsyncPredictionClient: request ", id,
-                      " re-sent ", retry.maxAttempts,
-                      " times with no reply and no progress");
-        if (slot.everSent)
-            ++counters.retries;
-        slot.everSent = true;
-        slot.completedAtSend = completedCount;
+        session.countSend(slot.sends, id, completedCount);
         slot.sent = true;
-        ++counters.requestsSent;
 
         // A reconnect that landed on a server numbering its streams
         // differently is the one reason to encode a request again.
-        const std::uint32_t wire_id = remap.at(slot.streamId);
+        const std::uint32_t wire_id = session.wireId(slot.streamId);
         if (wire_id != slot.wireStreamId) {
             slot.frame = reencodeForStream(*slot.frame, wire_id);
             slot.wireStreamId = wire_id;
         }
         // Shared, not borrowed: once the last byte is out, the reply
-        // can retire the slot before writeAll() has returned.
+        // can retire the slot before the write has returned.
         const std::shared_ptr<const std::vector<std::uint8_t>> frame =
             slot.frame;
 
-        Connection *wire = conn.get();
         senderInSend = true;
         lock.unlock();
-        bool ok;
-        {
-            std::lock_guard<std::mutex> wl(writeMu);
-            ok = wire->writeAll(frame->data(), frame->size());
-        }
+        const bool ok = session.sendFrame(*frame);
         lock.lock();
         senderInSend = false;
         if (!ok) {
@@ -898,7 +808,7 @@ AsyncPredictionClient::senderLoop()
             const std::uint64_t gen = generation;
             cv.notify_all();
             cv.wait(lock, [this, gen] {
-                return closing || generation != gen;
+                return session.closed || generation != gen;
             });
         } else {
             cv.notify_all();
@@ -909,41 +819,12 @@ AsyncPredictionClient::senderLoop()
 void
 AsyncPredictionClient::receiverLoop()
 {
-    std::vector<std::uint8_t> buffer(kReadChunkBytes);
     for (;;) {
         Frame frame;
-        std::string error;
-        bool lost = false;
-        for (;;) {
-            const FrameDecoder::Status status =
-                decoder.next(frame, &error);
-            if (status == FrameDecoder::Status::Ready)
-                break;
-            if (status == FrameDecoder::Status::Error) {
-                util::warn("AsyncPredictionClient: server sent "
-                           "garbage: ", error);
-                lost = true;
-                break;
-            }
-            const std::size_t n =
-                conn->read(buffer.data(), buffer.size());
-            if (n == 0) {
-                lost = true;
-                break;
-            }
-            decoder.feed(buffer.data(), n);
-        }
-        if (lost) {
-            {
-                std::lock_guard<std::mutex> lock(mu);
-                if (closing)
-                    return;
-            }
-            if (!handleConnectionLost())
-                return;
-            continue;
-        }
-        if (!handleFrame(frame))
+        const bool alive = session.readFrame(frame)
+            ? handleFrame(frame)
+            : handleConnectionLost();
+        if (!alive)
             return;
     }
 }
@@ -951,131 +832,60 @@ AsyncPredictionClient::receiverLoop()
 bool
 AsyncPredictionClient::handleFrame(const Frame &frame)
 {
-    if (static_cast<MsgType>(frame.type) == MsgType::PredictReply) {
-        PredictReplyMsg reply;
-        util::fatalIf(!decodePredictReply(frame.payload, reply),
-                      "AsyncPredictionClient: undecodable "
-                      "PredictReply");
-        PredictOutcome outcome;
-        outcome.ok = true;
-        outcome.reply = reply;
-        complete(reply.requestId, outcome);
-        return true;
+    using Kind = ClientSession::Answer::Kind;
+    const ClientSession::Answer answer = session.classify(frame);
+    if (answer.kind == Kind::ShuttingDown) {
+        session.dropConnection();
+        return handleConnectionLost();
     }
 
-    if (static_cast<MsgType>(frame.type) == MsgType::Error) {
-        ErrorMsg error;
-        util::fatalIf(!decodeError(frame.payload, error),
-                      "AsyncPredictionClient: undecodable Error "
-                      "frame");
-        const ErrorCode code = static_cast<ErrorCode>(error.code);
-
-        if (code == ErrorCode::Busy) {
-            std::lock_guard<std::mutex> lock(mu);
-            const auto it = inflight.find(error.requestId);
-            if (it == inflight.end()) {
-                util::fatalIf(!retry.enabled,
-                              "AsyncPredictionClient: Busy for "
-                              "unknown request ", error.requestId);
-                ++counters.duplicateReplies;
-                return true;
-            }
-            util::fatalIf(!retry.enabled,
-                          "AsyncPredictionClient: server busy and "
-                          "retries are disabled (request ",
-                          error.requestId, ")");
-            ++counters.busyReplies;
-            busyFloor = error.retryAfterMicros;
-            Slot &slot = it->second;
-            slot.sent = false;
-            slot.unanswered = 0;  // Answered; the server lives.
-            slot.readyAt = Clock::now() +
-                std::chrono::microseconds(
-                    backoffMicros(busyRound++, busyFloor));
-            sendQueue.push_back(error.requestId);
-            cv.notify_all();
-            return true;
-        }
-        if (code == ErrorCode::DeadlineExceeded) {
-            PredictOutcome outcome;
-            outcome.ok = false;
-            outcome.error = code;
-            complete(error.requestId, outcome);
-            return true;
-        }
-        if (code == ErrorCode::ShuttingDown && retry.enabled &&
-            retry.connect) {
-            // The connection is a dead end; everything unanswered
-            // moves to a fresh one.
-            {
-                std::lock_guard<std::mutex> wl(writeMu);
-                conn->close();
-            }
-            {
-                std::lock_guard<std::mutex> lock(mu);
-                if (closing)
-                    return false;
-            }
-            return handleConnectionLost();
-        }
-        raiseServerError(frame);
-        return true;
-    }
-
-    util::fatal("AsyncPredictionClient: expected PredictReply, got "
-                "type ", frame.type);
-    return false;
-}
-
-void
-AsyncPredictionClient::complete(std::uint64_t request_id,
-                                const PredictOutcome &outcome)
-{
     Callback done;
     {
-        std::lock_guard<std::mutex> lock(mu);
-        const auto it = inflight.find(request_id);
-        if (it == inflight.end()) {
-            util::fatalIf(!retry.enabled,
-                          "AsyncPredictionClient: duplicate or "
-                          "unknown reply for request ", request_id);
-            ++counters.duplicateReplies;
-            return;
+        std::lock_guard<std::mutex> lock(session.mu);
+        const auto it = inflight.find(answer.requestId);
+        if (!session.accept(answer, it != inflight.end()
+                                        ? &it->second.sends
+                                        : nullptr))
+            return true;
+        if (answer.kind == Kind::Busy) {
+            busyFloor = answer.retryAfterMicros;
+            Slot &slot = it->second;
+            slot.sent = false;
+            slot.readyAt = Clock::now() +
+                std::chrono::microseconds(
+                    session.backoffMicros(busyRound++, busyFloor));
+            sendQueue.push_back(answer.requestId);
+            cv.notify_all();
+            return true;
         }
         done = std::move(it->second.done);
         inflight.erase(it);
         ++completedCount;
         busyRound = 0;  // The server is making progress again.
-        if (!outcome.ok && outcome.error == ErrorCode::DeadlineExceeded)
-            ++counters.deadlineExpired;
         ++dispatching;
     }
     if (done)
-        done(request_id, outcome);
+        done(answer.requestId, answer.outcome);
     {
-        std::lock_guard<std::mutex> lock(mu);
+        std::lock_guard<std::mutex> lock(session.mu);
         --dispatching;
     }
     cv.notify_all();
+    return true;
 }
 
 bool
 AsyncPredictionClient::handleConnectionLost()
 {
-    util::fatalIf(!retry.enabled || !retry.connect,
-                  "AsyncPredictionClient: connection lost (no "
-                  "reconnect factory configured)");
     {
-        std::unique_lock<std::mutex> lock(mu);
+        std::unique_lock<std::mutex> lock(session.mu);
         reconnecting = true;
         cv.notify_all();
         // Wait the sender out of its in-progress write; after this,
         // the receiver owns the connection exclusively.
-        cv.wait(lock, [this] { return !senderInSend || closing; });
-        if (closing) {
-            reconnecting = false;
+        cv.wait(lock, [this] { return !senderInSend || session.closed; });
+        if (session.closed)
             return false;
-        }
         // Whatever was written to the dead connection is gone (or
         // its reply is); it all goes back on the send queue.
         // Re-execution is safe: replies are byte-deterministic.
@@ -1088,84 +898,30 @@ AsyncPredictionClient::handleConnectionLost()
         }
     }
 
-    for (unsigned attempt = 0; attempt < retry.reconnectAttempts;
-         ++attempt) {
-        {
-            std::lock_guard<std::mutex> lock(mu);
-            if (closing) {
-                reconnecting = false;
-                return false;
-            }
-        }
-        std::unique_ptr<Connection> fresh = retry.connect();
-        if (!fresh) {
-            sleepBackoff(attempt, 0);
-            continue;
-        }
-        {
-            std::lock_guard<std::mutex> wl(writeMu);
-            conn = std::move(fresh);
-        }
-        decoder = FrameDecoder{};
-        if (!syncHandshake()) {
-            sleepBackoff(attempt, 0);
-            continue;
-        }
-        // Re-open every stream the caller holds a handle to; ids may
-        // differ on the new connection (another server instance), so
-        // the sender re-encodes requests whose id the remap changed.
-        bool opened_all = true;
-        for (const auto &entry : streamBench) {
-            const std::uint32_t fresh_id =
-                syncOpenStream(entry.second);
-            if (fresh_id == 0) {
-                opened_all = false;
-                break;
-            }
-            std::lock_guard<std::mutex> lock(mu);
-            remap[entry.first] = fresh_id;
-        }
-        if (!opened_all) {
-            sleepBackoff(attempt, 0);
-            continue;
-        }
-        std::lock_guard<std::mutex> lock(mu);
-        ++counters.reconnects;
-        reconnecting = false;
-        ++generation;
-        cv.notify_all();
-        return true;
-    }
-    util::fatal("AsyncPredictionClient: reconnect failed after ",
-                retry.reconnectAttempts, " attempts");
-    return false;
+    const bool redialled = session.redial();
+    std::lock_guard<std::mutex> lock(session.mu);
+    reconnecting = false;
+    ++generation;
+    cv.notify_all();
+    return redialled;
 }
 
 void
 AsyncPredictionClient::drain()
 {
-    std::unique_lock<std::mutex> lock(mu);
+    std::unique_lock<std::mutex> lock(session.mu);
     cv.wait(lock, [this] {
-        return closing || (inflight.empty() && dispatching == 0);
+        return session.closed || (inflight.empty() && dispatching == 0);
     });
 }
 
 void
 AsyncPredictionClient::close()
 {
-    {
-        std::lock_guard<std::mutex> lock(mu);
-        if (closing)
-            return;
-        closing = true;
-        cv.notify_all();
-    }
-    {
-        // Unblocks the receiver's read and fails the sender's write.
-        std::lock_guard<std::mutex> wl(writeMu);
-        if (conn)
-            conn->close();
-    }
+    // Unblocks the receiver's read and fails the sender's write.
+    if (!session.close())
+        return;
+    cv.notify_all();
     if (sender.joinable())
         sender.join();
     if (receiver.joinable())
@@ -1175,7 +931,7 @@ AsyncPredictionClient::close()
     // shutdown outcome on this thread, honouring fire-exactly-once.
     std::vector<std::pair<std::uint64_t, Callback>> leftovers;
     {
-        std::lock_guard<std::mutex> lock(mu);
+        std::lock_guard<std::mutex> lock(session.mu);
         for (auto &entry : inflight)
             leftovers.emplace_back(entry.first,
                                    std::move(entry.second.done));
@@ -1199,8 +955,8 @@ AsyncPredictionClient::close()
 ClientStats
 AsyncPredictionClient::stats() const
 {
-    std::lock_guard<std::mutex> lock(mu);
-    return counters;
+    std::lock_guard<std::mutex> lock(session.mu);
+    return session.counters;
 }
 
 } // namespace serve

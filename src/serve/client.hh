@@ -26,6 +26,11 @@
  * the identical reply. Without RetryOptions the legacy behaviour
  * stands: any Error frame or disconnect is fatal(), which is what the
  * known-good test harnesses want.
+ *
+ * Both clients drive one ClientSession, the only home of that
+ * connection-level behaviour. PredictionClient drives it on the
+ * calling thread, so a synchronous request never waits on a thread
+ * hand-off; AsyncPredictionClient drives it from its two threads.
  */
 
 #ifndef PREDVFS_SERVE_CLIENT_HH
@@ -58,33 +63,6 @@ struct RetryOptions
     /** Enable Busy/deadline handling and (with a factory) reconnect. */
     bool enabled = false;
 
-    /** Consecutive sends of one request that vanish *with no reply
-     *  at all* before giving up (fatal). A livelock detector, not a
-     *  contention bound: a `Busy` reply is the server answering this
-     *  very request (legitimate overload — competing bursts can
-     *  starve a request on a small queue for arbitrarily many
-     *  rounds), so it resets the count, as does any burst progress
-     *  since the slot's last send. Only connection-loss re-sends
-     *  accumulate. Callers wanting bounded waiting under overload
-     *  use deadlines, not this knob. */
-    unsigned maxAttempts = 32;
-
-    /** Retry-enabled clients ship a burst in windows of at most this
-     *  many in-flight requests instead of writing the whole backlog
-     *  at once. Over a lossy transport an all-or-nothing round is
-     *  pathological — one mid-round sever voids every frame written,
-     *  so the chance of completing a round shrinks exponentially
-     *  with burst size. Windowing banks progress every window, at
-     *  the cost of lower server batch occupancy; clients without a
-     *  retry policy keep whole-burst pipelining. */
-    std::size_t maxInflight = 16;
-
-    /** First backoff after a Busy round; doubles each consecutive
-     *  round, capped at maxBackoffMicros. The server's retry-after
-     *  hint raises (never lowers) the wait. */
-    std::uint64_t baseBackoffMicros = 200;
-    std::uint64_t maxBackoffMicros = 20000;
-
     /** Seed for the backoff jitter (uniform in [0.5, 1.0] of the
      *  computed delay) — reruns sleep the same schedule. */
     std::uint64_t jitterSeed = 1;
@@ -93,10 +71,6 @@ struct RetryOptions
      *  (fresh handshake, streams re-opened by name, unanswered
      *  requests re-sent). Without it, disconnects stay fatal. */
     std::function<std::unique_ptr<Connection>()> connect;
-
-    /** Dial attempts per reconnect (each failed dial backs off like a
-     *  Busy round) before giving up (fatal). */
-    unsigned reconnectAttempts = 8;
 };
 
 /** Client-side fault counters (see statsJson()). */
@@ -122,17 +96,153 @@ struct PredictOutcome
     ErrorCode error = ErrorCode::BadFrame;  //!< Valid when !ok.
 };
 
+/**
+ * The protocol session under both clients: one connection and what
+ * keeps it usable — the handshake, the stream table, redial with
+ * backoff, frame I/O, the livelock bound, and the classification of
+ * the answers to Predict. PredictionClient drives it on the calling
+ * thread; AsyncPredictionClient's sender and receiver threads share
+ * it. Internal to the two clients.
+ *
+ * Locking, for a client that shares it between threads: `mu` guards
+ * the counters, the jitter RNG, the stream table, nextRequestId and
+ * `closed`; `writeMu` serialises writes and swaps of the connection;
+ * one thread at a time reads frames. The blocking operations
+ * (constructors, openStream, redial, backoff, close) and streamKey()
+ * take the locks themselves; the other members expect the caller to
+ * hold `mu` while another thread may use the session.
+ */
+class ClientSession
+{
+  public:
+    /** A server answer to one Predict, as the clients act on it. */
+    struct Answer
+    {
+        enum class Kind { Reply, Busy, DeadlineExceeded, ShuttingDown };
+        Kind kind = Kind::Reply;
+        std::uint64_t requestId = 0;
+        std::uint64_t retryAfterMicros = 0;  //!< Busy: server's hint.
+        PredictOutcome outcome;  //!< Reply and DeadlineExceeded.
+    };
+
+    /** One request's send history, for the livelock bound. */
+    struct SendRecord
+    {
+        bool everSent = false;
+        unsigned unanswered = 0;  //!< Consecutive sends with no reply.
+        std::uint64_t progressAtSend = 0;  //!< Completions at last send.
+    };
+
+    /** Take @p connection and handshake; @p name prefixes messages.
+     *  fatal() when the peer is not a compatible prediction server. */
+    ClientSession(const char *name,
+                  std::unique_ptr<Connection> connection,
+                  RetryOptions retry);
+
+    /** Dial through @p retry.connect (required), retrying failed
+     *  handshakes under the reconnect policy. */
+    ClientSession(const char *name, RetryOptions retry);
+
+    /** Open @p benchmark, redialling a connection lost mid-open.
+     *  @return the caller's id for it: the server's id at first open,
+     *  mapped to the current one by every later redial. */
+    std::uint32_t openStream(const std::string &benchmark);
+
+    /** Key the server reported for the caller's stream @p stream_id. */
+    std::uint64_t streamKey(std::uint32_t stream_id) const;
+
+    /** The id the current connection knows @p stream_id by. */
+    std::uint32_t wireId(std::uint32_t stream_id) const;
+
+    /** @name Frame I/O; false when the connection is lost. */
+    /// @{
+    bool send(MsgType type, const std::vector<std::uint8_t> &payload);
+    bool sendFrame(const std::vector<std::uint8_t> &frame);
+    bool readFrame(Frame &out);
+    /// @}
+
+    /** Replace a lost connection: dial, handshake, re-open every
+     *  stream. fatal() without a factory or when the attempts run
+     *  out. @return false when close() interrupted it. */
+    bool redial();
+
+    /** Jittered, capped exponential backoff for round @p round (the
+     *  server's @p floor_micros hint raises it); counts one sleep. */
+    std::uint64_t backoffMicros(unsigned round,
+                                std::uint64_t floor_micros);
+
+    /** Sleep backoffMicros(). */
+    void backoff(unsigned round, std::uint64_t floor_micros);
+
+    /** Count one send of @p request_id; fatal() when its sends keep
+     *  vanishing while the caller's completions stay at @p progress. */
+    void countSend(SendRecord &record, std::uint64_t request_id,
+                   std::uint64_t progress);
+
+    /** Decode @p frame as an answer to a Predict. fatal() on anything
+     *  else, and on errors the retry policy does not absorb. */
+    Answer classify(const Frame &frame) const;
+
+    /** Count @p answer. @p live is the send record of the request it
+     *  answers, or null when that request is no longer waiting.
+     *  @return false for such a duplicate, which is only counted. */
+    bool accept(const Answer &answer, SendRecord *live);
+
+    /** fatal() with the server's message if @p frame is an Error. */
+    void raiseIfError(const Frame &frame) const;
+
+    /** Close the connection (unblocking its reader), keeping the
+     *  session open for a redial. */
+    void dropConnection();
+
+    /** Close the session and its connection; a redial in progress
+     *  gives up. @return false when it was already closed. */
+    bool close();
+
+    const char *const name;
+    const RetryOptions retry;
+    ClientStats counters;
+    std::uint64_t nextRequestId = 1;
+    bool closed = false;
+
+    mutable std::mutex mu;
+    std::mutex writeMu;
+
+  private:
+    /** An open stream, under the caller's id. */
+    struct Stream
+    {
+        std::string benchmark;
+        std::uint32_t wireId = 0;
+        std::uint64_t key = 0;
+    };
+
+    /** Dial until a connection handshakes and re-opens every stream.
+     *  @return false when close() interrupted it. */
+    bool dial();
+    bool handshake();
+
+    /** OpenStream on the current connection; false when it is lost. */
+    bool openOnWire(const std::string &benchmark,
+                    StreamOpenedMsg &opened);
+
+    const Stream &stream(std::uint32_t stream_id) const;
+
+    std::unique_ptr<Connection> conn;
+    FrameDecoder decoder;
+    std::vector<std::uint8_t> readBuffer;
+    util::Rng jitter;
+    std::map<std::uint32_t, Stream> streams;
+};
+
 /** Synchronous protocol client over one Connection. */
 class PredictionClient
 {
   public:
     /** Take ownership of @p connection and handshake. fatal() when
      *  the peer is not a compatible prediction server. */
-    explicit PredictionClient(std::unique_ptr<Connection> connection);
-
-    /** As above, with a retry policy. */
-    PredictionClient(std::unique_ptr<Connection> connection,
-                     RetryOptions retry);
+    explicit PredictionClient(std::unique_ptr<Connection> connection,
+                              RetryOptions retry = {});
 
     /** Dial through @p retry.connect (required), retrying failed
      *  handshakes under the reconnect policy — the entry point for
@@ -184,7 +294,7 @@ class PredictionClient
                         std::uint64_t deadline_micros = 0);
 
     /** This client's fault counters. */
-    const ClientStats &stats() const { return counters; }
+    const ClientStats &stats() const { return session.counters; }
 
     /**
      * Telemetry document: a "client" object with this client's
@@ -197,46 +307,7 @@ class PredictionClient
     void bye();
 
   private:
-    enum class ReadStatus { Ok, Lost };
-
-    /** Block until one complete frame arrives, reporting a lost
-     *  connection (EOF or framing garbage) instead of dying — the
-     *  caller decides whether loss is survivable. */
-    ReadStatus tryReadFrame(Frame &out);
-
-    bool trySend(MsgType type,
-                 const std::vector<std::uint8_t> &payload);
-
-    /** Hello exchange on the current connection. */
-    bool tryHandshake();
-
-    /** Re-dial, re-handshake, re-open streams. fatal() when no
-     *  factory is configured or attempts run out. */
-    void reconnect();
-
-    /** Jittered, capped exponential backoff for round @p round. */
-    void backoff(unsigned round, std::uint64_t floor_micros);
-
-    /** The server-side id currently backing a caller-visible id. */
-    std::uint32_t activeId(std::uint32_t stream_id) const;
-
-    std::uint32_t openStreamRaw(const std::string &benchmark);
-
-    /** fatal() with the server's message if @p frame is an Error. */
-    static void raiseIfError(const Frame &frame);
-
-    std::unique_ptr<Connection> conn;
-    FrameDecoder decoder;
-    RetryOptions retry;
-    ClientStats counters;
-    util::Rng jitter;
-    std::uint64_t nextRequestId = 1;
-    std::map<std::uint32_t, std::uint64_t> streamKeys;
-    std::map<std::uint32_t, std::string> streamBench;
-    /** Caller-visible stream id → id on the current connection
-     *  (identity until a reconnect re-opens streams). */
-    std::map<std::uint32_t, std::uint32_t> remap;
-    bool closed = false;
+    ClientSession session;
 };
 
 /**
@@ -344,68 +415,37 @@ class AsyncPredictionClient
         std::uint32_t wireStreamId = 0;  //!< The stream id in frame.
         Callback done;
         bool sent = false;           //!< Sent (true) vs Queued.
-        bool everSent = false;
         Clock::time_point readyAt{};     //!< Busy backoff gate.
-        unsigned unanswered = 0;
-        std::uint64_t completedAtSend = 0;
+        ClientSession::SendRecord sends;
     };
 
-    void startThreads();
     void senderLoop();
     void receiverLoop();
 
-    /** Dispatch one server frame; @return false to stop receiving. */
+    /** Dispatch one server frame: requeue a Busy request, or retire
+     *  the slot and run its callback (outside the lock).
+     *  @return false to stop receiving. */
     bool handleFrame(const Frame &frame);
 
-    /** Retire a slot and run its callback (outside the lock). */
-    void complete(std::uint64_t request_id,
-                  const PredictOutcome &outcome);
-
-    /** Receiver-side: requeue Sent slots, re-dial, re-handshake,
-     *  re-open streams, bump the generation the sender waits on.
-     *  @return false when close() interrupted it. */
+    /** Receiver-side: requeue Sent slots, redial, bump the generation
+     *  the sender waits on. @return false when close() interrupted
+     *  it. */
     bool handleConnectionLost();
 
-    /** @name Synchronous helpers (constructor/openStream/reconnect —
-     *  contexts where this thread owns the connection). */
-    /// @{
-    bool syncHandshake();
-    std::uint32_t syncOpenStream(const std::string &benchmark);
-    bool syncReadFrame(Frame &out);
-    bool sendRaw(MsgType type, const std::vector<std::uint8_t> &payload);
-    /// @}
-
-    /** Jittered, capped backoff duration for round @p round; counts a
-     *  backoff sleep. Call with mu held. */
-    std::uint64_t backoffMicros(unsigned round,
-                                std::uint64_t floor_micros);
-    void sleepBackoff(unsigned round, std::uint64_t floor_micros);
-
-    std::unique_ptr<Connection> conn;  //!< Swapped only by reconnect.
-    FrameDecoder decoder;              //!< Owned by the receiver.
-    RetryOptions retry;
-    std::mutex writeMu;                //!< Serialises wire writes.
-
-    mutable std::mutex mu;             //!< Guards everything below.
+    /** Its `mu` also guards everything below, and its `closed` is
+     *  this client's closing flag. */
+    ClientSession session;
     std::condition_variable cv;
     std::unordered_map<std::uint64_t, Slot> inflight;
     std::deque<std::uint64_t> sendQueue;  //!< Queued requestIds.
-    ClientStats counters;
-    util::Rng jitter;
-    std::uint64_t nextRequestId = 1;
     std::uint64_t completedCount = 0;
     unsigned busyRound = 0;
     std::uint64_t busyFloor = 0;
     std::size_t dispatching = 0;  //!< Callbacks currently running.
     std::uint64_t generation = 0; //!< Bumped per successful reconnect.
     bool threadsStarted = false;
-    bool closing = false;
     bool reconnecting = false;    //!< Receiver owns the connection.
     bool senderInSend = false;    //!< Sender is inside writeAll().
-
-    std::map<std::uint32_t, std::uint64_t> streamKeys;
-    std::map<std::uint32_t, std::string> streamBench;
-    std::map<std::uint32_t, std::uint32_t> remap;
 
     std::thread sender;
     std::thread receiver;

@@ -11,9 +11,11 @@
  * bar: completions may arrive out of submission order (the harness
  * provokes and pins one such reordering), but aggregated by requestId
  * its replies, digests, and retry counters match the synchronous
- * client exactly, also when a reconnect lands on a server that numbers
- * its streams differently. A server stopped with requests still
- * queued answers and counts every one of them.
+ * client exactly. Both clients are driven through the same redials: a
+ * reconnect that lands on a server numbering its streams differently,
+ * a cut right after the handshake, and a server stopped under a queued
+ * burst. A server stopped with requests still queued answers and
+ * counts every one of them.
  */
 
 #include <gtest/gtest.h>
@@ -22,6 +24,7 @@
 #include <chrono>
 #include <cstdint>
 #include <cstring>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -163,6 +166,141 @@ class SeverAfter : public serve::Connection
     std::unique_ptr<serve::Connection> inner;
     std::uint64_t remaining;
 };
+
+/** A connection that logs the type of the first frame written on it,
+ *  so a test can require every dialled connection to open with a
+ *  Hello (the server itself does not insist on one). */
+class OpeningFrameLog : public serve::Connection
+{
+  public:
+    OpeningFrameLog(std::unique_ptr<serve::Connection> inner,
+                    std::shared_ptr<std::vector<std::uint16_t>> log)
+        : inner(std::move(inner)), log(std::move(log))
+    {
+    }
+
+    std::size_t read(void *buf, std::size_t max) override
+    {
+        return inner->read(buf, max);
+    }
+
+    bool writeAll(const void *buf, std::size_t n) override
+    {
+        // Clients write one whole frame per call; the type is the u16
+        // after the u32 payload length.
+        if (!opened && n >= 6) {
+            const auto *p = static_cast<const std::uint8_t *>(buf);
+            log->push_back(static_cast<std::uint16_t>(p[4] | p[5] << 8));
+            opened = true;
+        }
+        return inner->writeAll(buf, n);
+    }
+
+    void close() override { inner->close(); }
+
+  private:
+    std::unique_ptr<serve::Connection> inner;
+    std::shared_ptr<std::vector<std::uint16_t>> log;
+    bool opened = false;
+};
+
+enum class ClientKind { Sync, Async };
+
+const char *
+clientName(ClientKind kind)
+{
+    return kind == ClientKind::Sync ? "sync" : "async";
+}
+
+/** What one client run returned, stream by stream. */
+struct ClientRun
+{
+    /** Each stream's outcomes, in job order. */
+    std::vector<std::vector<serve::PredictOutcome>> outcomes;
+    std::vector<std::uint64_t> keys;  //!< streamKey() per stream.
+    serve::ClientStats stats;
+};
+
+/**
+ * Dial a client of @p kind through @p ropts, open @p benches in order,
+ * and send jobs[b] on stream b: the sync client one burst per stream
+ * on a helper thread, the async client every job before it drains.
+ * @p while_queued runs on this thread while the sync bursts run, or
+ * once the async client has submitted everything.
+ */
+ClientRun
+runClient(ClientKind kind, const serve::RetryOptions &ropts,
+          const std::vector<std::string> &benches,
+          const std::vector<std::vector<rtl::JobInput>> &jobs,
+          const std::function<void()> &while_queued = {})
+{
+    ClientRun run;
+    run.outcomes.resize(benches.size());
+    if (kind == ClientKind::Sync) {
+        std::thread bursts([&] {
+            serve::PredictionClient client(ropts);
+            std::vector<std::uint32_t> sids;
+            for (const std::string &bench : benches)
+                sids.push_back(client.openStream(bench));
+            for (std::size_t b = 0; b < benches.size(); ++b)
+                run.outcomes[b] =
+                    client.predictManyOutcomes(sids[b], jobs[b]);
+            for (const std::uint32_t sid : sids)
+                run.keys.push_back(client.streamKey(sid));
+            run.stats = client.stats();
+        });
+        if (while_queued)
+            while_queued();
+        bursts.join();
+        return run;
+    }
+
+    serve::AsyncPredictionClient client(ropts);
+    std::vector<std::uint32_t> sids;
+    for (const std::string &bench : benches)
+        sids.push_back(client.openStream(bench));
+    std::mutex mu;
+    std::map<std::uint64_t, serve::PredictOutcome> by_id;
+    std::vector<std::vector<std::uint64_t>> ids(benches.size());
+    for (std::size_t b = 0; b < benches.size(); ++b) {
+        for (const rtl::JobInput &job : jobs[b]) {
+            ids[b].push_back(client.submit(
+                sids[b], job,
+                [&](std::uint64_t id,
+                    const serve::PredictOutcome &outcome) {
+                    std::lock_guard<std::mutex> lock(mu);
+                    by_id[id] = outcome;
+                }));
+        }
+    }
+    if (while_queued)
+        while_queued();
+    client.drain();
+    for (std::size_t b = 0; b < benches.size(); ++b) {
+        for (const std::uint64_t id : ids[b])
+            run.outcomes[b].push_back(by_id[id]);
+    }
+    for (const std::uint32_t sid : sids)
+        run.keys.push_back(client.streamKey(sid));
+    run.stats = client.stats();
+    client.close();
+    return run;
+}
+
+/** Every outcome a reply equal to the in-process record. */
+void
+expectRecords(const std::vector<serve::PredictOutcome> &outcomes,
+              const std::vector<core::PreparedJob> &records,
+              const std::string &context)
+{
+    for (std::size_t i = 0; i < outcomes.size(); ++i) {
+        std::ostringstream where;
+        where << context << ", request " << i;
+        ASSERT_TRUE(outcomes[i].ok) << where.str();
+        expectReplyMatchesRecord(outcomes[i].reply, records[i],
+                                 where.str());
+    }
+}
 
 } // namespace
 
@@ -656,70 +794,159 @@ TEST(ServeDistributed, AsyncClientAbsorbsBusyAndConverges)
 }
 
 // ---------------------------------------------------------------
-// The async client encodes each request once. A reconnect that lands
-// on a server numbering its streams differently must re-encode the
-// unanswered requests with the new id and still get fixture bytes.
+// A reconnect that lands on a server numbering its streams the other
+// way round: both clients must address every unanswered request by
+// its new id (the async client re-encodes the frames it encoded once)
+// and still get fixture bytes, and streamKey() must keep answering
+// for the caller's id, not for whichever stream now has that wire id.
 // ---------------------------------------------------------------
 
-TEST(ServeDistributed, AsyncClientReencodesAfterStreamIdsChange)
+TEST(ServeDistributed, ClientsRemapStreamsAfterStreamIdsChange)
+{
+    const std::vector<std::string> benches = {"aes", "sha"};
+    std::vector<std::unique_ptr<sim::Experiment>> exps;
+    std::vector<std::vector<rtl::JobInput>> jobs;
+    for (const std::string &bench : benches) {
+        exps.push_back(std::make_unique<sim::Experiment>(
+            bench, sim::ExperimentOptions{}));
+        jobs.push_back(exps.back()->workload().test);
+        ASSERT_GT(jobs.back().size(), 4u);
+    }
+
+    for (const ClientKind kind : {ClientKind::Sync, ClientKind::Async}) {
+        // The first server numbers aes 1 and sha 2, the second the
+        // other way round.
+        serve::PredictionServer first;
+        first.registerBenchmark("aes");
+        first.registerBenchmark("sha");
+        serve::PredictionServer second;
+        second.registerBenchmark("sha");
+        second.registerBenchmark("aes");
+
+        // The first dial cuts out after the handshake, the two stream
+        // opens and four requests; the redial reaches the second
+        // server.
+        auto dials = std::make_shared<std::uint64_t>(0);
+        serve::RetryOptions ropts;
+        ropts.enabled = true;
+        ropts.connect = [&first, &second,
+                         dials]() -> std::unique_ptr<serve::Connection> {
+            if ((*dials)++ == 0)
+                return std::make_unique<SeverAfter>(
+                    first.connectLoopback(), /*writes=*/7);
+            return second.connectLoopback();
+        };
+        const ClientRun run = runClient(kind, ropts, benches, jobs);
+
+        for (std::size_t b = 0; b < benches.size(); ++b) {
+            const std::string context = std::string(clientName(kind)) +
+                " " + benches[b] + " after a renumbering reconnect";
+            ASSERT_EQ(run.outcomes[b].size(), jobs[b].size()) << context;
+            expectRecords(run.outcomes[b], exps[b]->testPrepared(),
+                          context);
+            EXPECT_EQ(run.keys[b], second.streamKeyOf(benches[b]))
+                << context;
+        }
+        EXPECT_EQ(run.stats.reconnects, 1u) << clientName(kind);
+
+        // Stopped first, so requests the first server took before the
+        // cut are settled one way or another before the identity is
+        // checked.
+        first.stop();
+        second.stop();
+        for (const std::string &bench : benches) {
+            EXPECT_GT(second.telemetry(bench).requests, 0u) << bench;
+            expectStreamIdentity(first.telemetry(bench));
+            expectStreamIdentity(second.telemetry(bench));
+        }
+    }
+}
+
+// ---------------------------------------------------------------
+// The two redials no other test reaches, on both clients: a cut right
+// after the Hello, so openStream() must redial, and a server stopped
+// with the burst still queued, whose ShuttingDown answers move the
+// burst to a second server. Every dialled connection must open with a
+// Hello.
+// ---------------------------------------------------------------
+
+TEST(ServeDistributed, ClientsRedialFromStreamOpenAndShuttingDown)
 {
     sim::Experiment exp("sha", sim::ExperimentOptions{});
-    const std::vector<rtl::JobInput> &jobs = exp.workload().test;
-    const std::vector<core::PreparedJob> &records = exp.testPrepared();
-    ASSERT_GT(jobs.size(), 4u);
+    constexpr std::size_t kQueued = 8;
+    ASSERT_GE(exp.workload().test.size(), kQueued);
+    const std::vector<rtl::JobInput> jobs(
+        exp.workload().test.begin(),
+        exp.workload().test.begin() + kQueued);
 
-    // The first server numbers sha 2, the second numbers it 1.
-    serve::PredictionServer first;
-    first.registerBenchmark("aes");
-    first.registerBenchmark("sha");
-    serve::PredictionServer second;
-    second.registerBenchmark("sha");
+    for (const ClientKind kind : {ClientKind::Sync, ClientKind::Async}) {
+        for (const bool stop_while_queued : {false, true}) {
+            const std::string context =
+                std::string(clientName(kind)) +
+                (stop_while_queued ? ", server stopped while queued"
+                                   : ", cut after the Hello");
 
-    // The first dial cuts out after the handshake, the stream open and
-    // four requests; the redial reaches the second server.
-    auto dials = std::make_shared<std::uint64_t>(0);
-    serve::RetryOptions ropts;
-    ropts.enabled = true;
-    ropts.connect = [&first, &second,
-                     dials]() -> std::unique_ptr<serve::Connection> {
-        if ((*dials)++ == 0)
-            return std::make_unique<SeverAfter>(first.connectLoopback(),
-                                                /*writes=*/6);
-        return second.connectLoopback();
-    };
-    serve::AsyncPredictionClient client(ropts);
-    const std::uint32_t sid = client.openStream("sha");
+            // As in StopWithQueuedRequestsKeepsTheIdentity, a window
+            // far longer than the test keeps the burst queued on the
+            // first server until stop().
+            serve::ServerOptions sopts;
+            if (stop_while_queued)
+                sopts.batchWindowMicros = 10000000;
+            serve::PredictionServer first(sopts);
+            first.registerBenchmark("sha");
+            serve::PredictionServer second;
+            second.registerBenchmark("sha");
 
-    std::mutex mu;
-    std::map<std::uint64_t, serve::PredictOutcome> by_id;
-    std::vector<std::uint64_t> ids;
-    for (const rtl::JobInput &job : jobs) {
-        ids.push_back(client.submit(
-            sid, job,
-            [&](std::uint64_t id, const serve::PredictOutcome &outcome) {
-                std::lock_guard<std::mutex> lock(mu);
-                by_id[id] = outcome;
-            }));
+            auto dials = std::make_shared<std::uint64_t>(0);
+            auto opening = std::make_shared<std::vector<std::uint16_t>>();
+            serve::RetryOptions ropts;
+            ropts.enabled = true;
+            ropts.connect = [&first, &second, stop_while_queued, dials,
+                             opening]() -> std::unique_ptr<serve::Connection> {
+                std::unique_ptr<serve::Connection> conn;
+                if ((*dials)++ > 0)
+                    conn = second.connectLoopback();
+                else if (stop_while_queued)
+                    conn = first.connectLoopback();
+                else
+                    conn = std::make_unique<SeverAfter>(
+                        first.connectLoopback(), /*writes=*/1);
+                return std::make_unique<OpeningFrameLog>(std::move(conn),
+                                                         opening);
+            };
+            const auto stop_first = [&first] {
+                const auto give_up = std::chrono::steady_clock::now() +
+                    std::chrono::seconds(30);
+                while (first.telemetry("sha").requests < kQueued &&
+                       std::chrono::steady_clock::now() < give_up)
+                    std::this_thread::sleep_for(
+                        std::chrono::milliseconds(1));
+                first.stop();
+            };
+            const ClientRun run = runClient(
+                kind, ropts, {"sha"}, {jobs},
+                stop_while_queued ? std::function<void()>(stop_first)
+                                  : std::function<void()>());
+
+            ASSERT_EQ(run.outcomes[0].size(), kQueued) << context;
+            expectRecords(run.outcomes[0], exp.testPrepared(), context);
+            EXPECT_EQ(run.stats.reconnects, 1u) << context;
+            EXPECT_EQ(*opening,
+                      std::vector<std::uint16_t>(
+                          2, static_cast<std::uint16_t>(
+                                 serve::MsgType::Hello)))
+                << context;
+
+            first.stop();
+            second.stop();
+            if (stop_while_queued) {
+                EXPECT_EQ(first.telemetry("sha").shutdown, kQueued)
+                    << context;
+            }
+            expectStreamIdentity(first.telemetry("sha"));
+            expectStreamIdentity(second.telemetry("sha"));
+        }
     }
-    client.drain();
-
-    ASSERT_EQ(by_id.size(), jobs.size());
-    for (std::size_t i = 0; i < ids.size(); ++i) {
-        const serve::PredictOutcome &outcome = by_id[ids[i]];
-        ASSERT_TRUE(outcome.ok) << "request " << i;
-        expectReplyMatchesRecord(outcome.reply, records[i],
-                                 "after a renumbering reconnect");
-    }
-    EXPECT_EQ(client.stats().reconnects, 1u);
-    client.close();
-
-    // Stopped first, so requests the first server took before the cut
-    // are settled one way or another before the identity is checked.
-    first.stop();
-    second.stop();
-    EXPECT_GT(second.telemetry("sha").requests, 0u);
-    expectStreamIdentity(first.telemetry("sha"));
-    expectStreamIdentity(second.telemetry("sha"));
 }
 
 // ---------------------------------------------------------------

@@ -166,9 +166,10 @@ TEST(JobCache, LruEvictionIsDeterministicPerCapacity)
         EXPECT_EQ(sa.entries, sb.entries) << "capacity " << capacity;
         EXPECT_EQ(sa.bytes, sb.bytes) << "capacity " << capacity;
         EXPECT_LE(sa.bytes, capacity);
-        if (!first)
+        if (!first) {
             EXPECT_GE(sa.evictions, prev_evictions)
                 << "capacity " << capacity;
+        }
         prev_evictions = sa.evictions;
         first = false;
     }
