@@ -44,8 +44,9 @@ stage "design lint"
 build/examples/example_lint_design all
 
 stage "translation validation"
-# Statically prove every benchmark's compiled bytecode (and its RTL
-# and HLS slices) equivalent to the source design.
+# Statically prove every benchmark's compiled form (typed expression
+# nodes, bytecode, segments and routes; also of its RTL and HLS
+# slices) equivalent to the source design.
 build/examples/example_verify_design all
 
 stage "clang-tidy (if available)"

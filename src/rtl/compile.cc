@@ -13,6 +13,13 @@ namespace rtl {
 using util::panic;
 using util::panicIf;
 
+/** Keep a function or lambda out of line (GCC/Clang; no-op elsewhere). */
+#if defined(__GNUC__) || defined(__clang__)
+#define PREDVFS_NOINLINE __attribute__((noinline))
+#else
+#define PREDVFS_NOINLINE
+#endif
+
 namespace {
 
 /** Map a tree operator to its bytecode opcode (non-leaf ops only). */
@@ -44,9 +51,9 @@ lowerOp(Op op)
 }
 
 /**
- * Run one straight-line program. @p sp_base and @p locals must have
- * room for the program's declared stack depth and local count; the
- * result is the single value left on the stack.
+ * Run one straight-line program. @p sp_base must have room for the
+ * program's declared stack depth; the result is the single value left
+ * on the stack.
  *
  * On GCC/Clang dispatch is token-threaded: each handler jumps
  * directly to the next instruction's handler through a label table
@@ -57,8 +64,7 @@ lowerOp(Op op)
  */
 std::int64_t
 execProgram(const BInstr *code, std::size_t n, const std::int64_t *pool,
-            const std::int64_t *fields, std::int64_t *sp_base,
-            std::int64_t *locals)
+            const std::int64_t *fields, std::int64_t *sp_base)
 {
     if (n == 0)
         return 0;  // Program roots are never empty; defensive.
@@ -66,10 +72,9 @@ execProgram(const BInstr *code, std::size_t n, const std::int64_t *pool,
 #if defined(__GNUC__) || defined(__clang__)
     // One entry per BOp, in exact enum order.
     static const void *const kLabels[] = {
-        &&l_push_const, &&l_push_field, &&l_load_local,
-        &&l_store_local, &&l_add, &&l_sub, &&l_mul, &&l_div, &&l_mod,
-        &&l_min, &&l_max, &&l_eq, &&l_ne, &&l_lt, &&l_le, &&l_gt,
-        &&l_ge, &&l_and, &&l_or, &&l_not, &&l_select,
+        &&l_push_const, &&l_push_field, &&l_add, &&l_sub, &&l_mul,
+        &&l_div, &&l_mod, &&l_min, &&l_max, &&l_eq, &&l_ne, &&l_lt,
+        &&l_le, &&l_gt, &&l_ge, &&l_and, &&l_or, &&l_not, &&l_select,
     };
     const BInstr *ip = code;
     const BInstr *const end = code + n;
@@ -82,8 +87,6 @@ execProgram(const BInstr *code, std::size_t n, const std::int64_t *pool,
     goto *kLabels[static_cast<std::size_t>(ip->op)];
   l_push_const: *sp++ = pool[ip->arg]; PREDVFS_NEXT;
   l_push_field: *sp++ = fields[ip->arg]; PREDVFS_NEXT;
-  l_load_local: *sp++ = locals[ip->arg]; PREDVFS_NEXT;
-  l_store_local: locals[ip->arg] = sp[-1]; PREDVFS_NEXT;
   l_add: sp[-2] = sp[-2] + sp[-1]; --sp; PREDVFS_NEXT;
   l_sub: sp[-2] = sp[-2] - sp[-1]; --sp; PREDVFS_NEXT;
   l_mul: sp[-2] = sp[-2] * sp[-1]; --sp; PREDVFS_NEXT;
@@ -111,8 +114,6 @@ execProgram(const BInstr *code, std::size_t n, const std::int64_t *pool,
         switch (in.op) {
           case BOp::PushConst: *sp++ = pool[in.arg]; break;
           case BOp::PushField: *sp++ = fields[in.arg]; break;
-          case BOp::LoadLocal: *sp++ = locals[in.arg]; break;
-          case BOp::StoreLocal: locals[in.arg] = sp[-1]; break;
           case BOp::Add: sp[-2] = sp[-2] + sp[-1]; --sp; break;
           case BOp::Sub: sp[-2] = sp[-2] - sp[-1]; --sp; break;
           case BOp::Mul: sp[-2] = sp[-2] * sp[-1]; --sp; break;
@@ -434,16 +435,13 @@ struct ProgramInfo
     std::uint32_t first = 0;
     std::uint32_t count = 0;
     std::uint32_t stackNeeded = 0;
-    std::uint32_t localsNeeded = 0;
     FieldId maxField = -1;
 };
 
 /**
- * Lowers expression trees into a shared code/literal pool. One
- * instance serves a whole design so literals dedupe across programs;
- * value numbering (and hence CSE locals) resets per program, matching
- * the runtime, where locals do not survive from one program to the
- * next.
+ * Lowers expression trees into a shared code/literal pool as plain
+ * postfix. One instance serves a whole design so literals dedupe
+ * across programs.
  */
 class ExprCompiler
 {
@@ -456,121 +454,42 @@ class ExprCompiler
     compile(const ExprPtr &tree)
     {
         panicIf(!tree, "ExprCompiler: null expression");
-        vnodes.clear();
-        keys.clear();
-        const int root = number(*tree);
-
         ProgramInfo info;
-        if (vnodes[root].op == Op::Const) {
-            info.kind = ProgramInfo::Kind::Const;
-            info.imm = vnodes[root].imm;
-            return info;
-        }
-        if (vnodes[root].op == Op::Field) {
+        if (tree->op() == Op::Field) {
             info.kind = ProgramInfo::Kind::Field;
-            info.field = vnodes[root].field;
-            info.maxField = vnodes[root].field;
+            info.field = tree->fieldId();
+            info.maxField = tree->fieldId();
             return info;
         }
-
-        // Reference counts over the deduped DAG decide which subtrees
-        // earn a scratch local (computed once, reloaded after).
-        for (const VNode &n : vnodes)
-            for (int kid : n.kids)
-                ++vnodes[kid].refs;
-        ++vnodes[root].refs;
-
+        if (tree->isConstant()) {
+            info.kind = ProgramInfo::Kind::Const;
+            info.imm = foldConst(*tree);
+            return info;
+        }
         info.kind = ProgramInfo::Kind::Program;
         info.first = static_cast<std::uint32_t>(code.size());
         depth = 0;
         maxDepth = 0;
-        locals = 0;
         maxField = -1;
-        emitVn(root);
+        emit(*tree);
         info.count = static_cast<std::uint32_t>(code.size()) - info.first;
         info.stackNeeded = maxDepth;
-        info.localsNeeded = locals;
         info.maxField = maxField;
         return info;
     }
 
   private:
-    /** One structurally-unique subtree. */
-    struct VNode
+    /**
+     * Defensive fold: factory-built trees are already folded, but
+     * compile anything (e.g. hand-assembled test trees) to the same
+     * bytecode a folded tree would get. eval() on a fieldless tree is
+     * the reference semantics, so no rule can drift.
+     */
+    static std::int64_t
+    foldConst(const Expr &e)
     {
-        Op op;
-        std::int64_t imm = 0;
-        FieldId field = -1;
-        std::vector<int> kids;
-        int refs = 0;
-        int slot = -1;  //!< Scratch local once emitted (CSE hits).
-        bool emitted = false;
-    };
-
-    /** Structural identity of a subtree, for value numbering. */
-    struct VKey
-    {
-        Op op;
-        std::int64_t imm;
-        FieldId field;
-        std::vector<int> kids;
-
-        bool
-        operator<(const VKey &o) const
-        {
-            if (op != o.op)
-                return op < o.op;
-            if (imm != o.imm)
-                return imm < o.imm;
-            if (field != o.field)
-                return field < o.field;
-            return kids < o.kids;
-        }
-    };
-
-    int
-    intern(const VKey &key)
-    {
-        const auto it = keys.find(key);
-        if (it != keys.end())
-            return it->second;
-        VNode n;
-        n.op = key.op;
-        n.imm = key.imm;
-        n.field = key.field;
-        n.kids = key.kids;
-        vnodes.push_back(std::move(n));
-        const int vn = static_cast<int>(vnodes.size()) - 1;
-        keys.emplace(key, vn);
-        return vn;
-    }
-
-    int
-    numberConst(std::int64_t v)
-    {
-        return intern({Op::Const, v, -1, {}});
-    }
-
-    int
-    number(const Expr &e)
-    {
-        if (e.op() == Op::Const)
-            return numberConst(e.constValue());
-        if (e.op() == Op::Field)
-            return intern({Op::Field, 0, e.fieldId(), {}});
-        // Defensive fold: factory-built trees are already folded, but
-        // compile anything (e.g. hand-assembled test trees) to the
-        // same bytecode a folded tree would get. eval() on a fieldless
-        // tree is the reference semantics, so no rule can drift.
-        if (e.isConstant()) {
-            static const FieldVec kNoFields;
-            return numberConst(e.eval(kNoFields));
-        }
-        VKey key{e.op(), 0, -1, {}};
-        key.kids.reserve(e.args().size());
-        for (const ExprPtr &c : e.args())
-            key.kids.push_back(number(*c));
-        return intern(key);
+        static const FieldVec kNoFields;
+        return e.eval(kNoFields);
     }
 
     int
@@ -594,46 +513,28 @@ class ExprCompiler
     }
 
     void
-    emitVn(int vn)
+    emit(const Expr &e)
     {
-        VNode &n = vnodes[vn];
-        if (n.slot >= 0) {
-            push(BOp::LoadLocal, n.slot);
+        if (e.op() == Op::Field) {
+            push(BOp::PushField, e.fieldId());
+            maxField = std::max(maxField, e.fieldId());
             return;
         }
-        switch (n.op) {
-          case Op::Const:
-            push(BOp::PushConst, poolIndex(n.imm));
-            break;
-          case Op::Field:
-            push(BOp::PushField, n.field);
-            maxField = std::max(maxField, n.field);
-            break;
-          default: {
-            for (int kid : n.kids)
-                emitVn(kid);
-            code.push_back({lowerOp(n.op), 0});
-            depth -= static_cast<std::uint32_t>(n.kids.size()) - 1;
-            break;
-          }
+        if (e.isConstant()) {
+            push(BOp::PushConst, poolIndex(foldConst(e)));
+            return;
         }
-        // A multiply-referenced interior value gets a tee into a
-        // scratch slot; later references reload instead of recompute.
-        // Leaves stay inline — a reload costs the same as a push.
-        if (n.refs > 1 && n.op != Op::Const && n.op != Op::Field) {
-            n.slot = static_cast<int>(locals++);
-            code.push_back({BOp::StoreLocal, n.slot});
-        }
+        for (const ExprPtr &k : e.args())
+            emit(*k);
+        code.push_back({lowerOp(e.op()), 0});
+        depth -= static_cast<std::uint32_t>(e.args().size()) - 1;
     }
 
     std::vector<BInstr> &code;
     std::vector<std::int64_t> &pool;
     std::map<std::int64_t, int> poolSlots;
-    std::vector<VNode> vnodes;
-    std::map<VKey, int> keys;
     std::uint32_t depth = 0;
     std::uint32_t maxDepth = 0;
-    std::uint32_t locals = 0;
     FieldId maxField = -1;
 };
 
@@ -668,7 +569,6 @@ ExprProgram::ExprProgram(const ExprPtr &tree)
     ExprCompiler comp(code, pool);
     const ProgramInfo info = comp.compile(tree);
     stackNeeded = info.stackNeeded;
-    localsNeeded = info.localsNeeded;
     maxField = info.maxField;
     switch (info.kind) {
       case ProgramInfo::Kind::Const:
@@ -696,10 +596,9 @@ ExprProgram::eval(const FieldVec &fields) const
         return imm;
     if (kind == 2)
         return fields[fieldRef];
-    std::vector<std::int64_t> scratch(stackNeeded + localsNeeded);
+    std::vector<std::int64_t> scratch(stackNeeded);
     return execProgram(code.data(), code.size(), pool.data(),
-                       fields.data(), scratch.data(),
-                       scratch.data() + stackNeeded);
+                       fields.data(), scratch.data());
 }
 
 CompiledDesign::CompiledDesign(const Design &design)
@@ -719,9 +618,13 @@ CompiledDesign::CompiledDesign(const Design &design)
     // Lower one expression tree to a typed CExpr node, recursively
     // appending child nodes first (so every child index is smaller
     // than its parent's). Design expressions are overwhelmingly
-    // affine cost models, leaf-binary guards, and selects over those
-    // shapes, so nearly everything lands in a specialised node; the
-    // bytecode program remains as the fully general fallback.
+    // affine cost models and field-against-constant guards, so nearly
+    // everything lands in a specialised node; the bytecode program
+    // remains as the fully general fallback.
+    const auto place = [&](const CExpr &e) {
+        programs.push_back(e);
+        return static_cast<std::int32_t>(programs.size()) - 1;
+    };
     auto addProgram = [&](auto &&self,
                           const ExprPtr &tree) -> std::int32_t {
         static const FieldVec kNoFields;
@@ -731,8 +634,7 @@ CompiledDesign::CompiledDesign(const Design &design)
         if (tree->isConstant()) {
             e.kind = CExpr::Kind::Const;
             e.imm = tree->eval(kNoFields);
-            programs.push_back(e);
-            return static_cast<std::int32_t>(programs.size()) - 1;
+            return place(e);
         }
 
         // Specialised nodes bypass ExprCompiler, so account for the
@@ -787,80 +689,56 @@ CompiledDesign::CompiledDesign(const Design &design)
                     affinePool.push_back(ct);
                 }
             }
-            programs.push_back(e);
-            return static_cast<std::int32_t>(programs.size()) - 1;
+            return place(e);
         }
 
-        const auto &kids = tree->args();
         switch (tree->op()) {
-          case Op::Not:
-            e.kind = CExpr::Kind::Not1;
-            e.a = self(self, kids[0]);
-            break;
-          case Op::Select:
-            e.kind = CExpr::Kind::Select3;
-            e.a = self(self, kids[0]);
-            e.b = self(self, kids[1]);
-            e.c = self(self, kids[2]);
-            break;
           case Op::Add: case Op::Sub: case Op::Mul: case Op::Div:
           case Op::Mod: case Op::Min: case Op::Max: case Op::Eq:
           case Op::Ne: case Op::Lt: case Op::Le: case Op::Gt:
           case Op::Ge: case Op::And: case Op::Or: {
             e.op = lowerOp(tree->op());
-            const Expr &l = *kids[0];
-            const Expr &r = *kids[1];
-            const bool lf = l.op() == Op::Field;
-            const bool rf = r.op() == Op::Field;
-            if (lf && rf) {
-                e.kind = CExpr::Kind::BinFF;
-                e.field = l.fieldId();
-                e.fieldB = r.fieldId();
-            } else if (lf && r.isConstant()) {
+            const Expr &l = *tree->args()[0];
+            const Expr &r = *tree->args()[1];
+            if (l.op() == Op::Field && r.isConstant()) {
                 e.kind = CExpr::Kind::BinFC;
                 e.field = l.fieldId();
                 e.imm = r.eval(kNoFields);
-            } else if (l.isConstant() && rf) {
-                e.kind = CExpr::Kind::BinCF;
-                e.imm = l.eval(kNoFields);
-                e.fieldB = r.fieldId();
-            } else if (treeSize(*tree) <= 5) {
+                return place(e);
+            }
+            // Deep arithmetic falls through: one flat bytecode program
+            // beats a chain of out-of-line Bin2 recursions.
+            if (treeSize(*tree) <= 5) {
                 e.kind = CExpr::Kind::Bin2;
-                e.a = self(self, kids[0]);
-                e.b = self(self, kids[1]);
-            } else {
-                // Deep arithmetic: one flat bytecode program beats a
-                // chain of out-of-line Bin2 recursions.
-                goto fallback;
+                e.a = self(self, tree->args()[0]);
+                e.b = self(self, tree->args()[1]);
+                return place(e);
             }
             break;
           }
-          default: {
-          fallback:
-            // Anything else runs through the bytecode compiler.
-            const ProgramInfo info = comp.compile(tree);
-            switch (info.kind) {
-              case ProgramInfo::Kind::Const:
-                e.kind = CExpr::Kind::Const;
-                e.imm = info.imm;
-                break;
-              case ProgramInfo::Kind::Field:
-                e.kind = CExpr::Kind::Field;
-                e.field = info.field;
-                break;
-              case ProgramInfo::Kind::Program:
-                e.kind = CExpr::Kind::Program;
-                e.first = info.first;
-                e.count = info.count;
-                break;
-            }
-            maxStack = std::max(maxStack, info.stackNeeded);
-            maxLocals = std::max(maxLocals, info.localsNeeded);
+          default:
             break;
-          }
         }
-        programs.push_back(e);
-        return static_cast<std::int32_t>(programs.size()) - 1;
+
+        // Anything else runs through the bytecode compiler.
+        const ProgramInfo info = comp.compile(tree);
+        switch (info.kind) {
+          case ProgramInfo::Kind::Const:
+            e.kind = CExpr::Kind::Const;
+            e.imm = info.imm;
+            break;
+          case ProgramInfo::Kind::Field:
+            e.kind = CExpr::Kind::Field;
+            e.field = info.field;
+            break;
+          case ProgramInfo::Kind::Program:
+            e.kind = CExpr::Kind::Program;
+            e.first = info.first;
+            e.count = info.count;
+            break;
+        }
+        maxStack = std::max(maxStack, info.stackNeeded);
+        return place(e);
     };
 
     // Top-level entry point: compile and remember the (tree, program)
@@ -1399,29 +1277,25 @@ CompiledDesign::numSpecialised() const
 
 std::int64_t
 CompiledDesign::evalExpr(const CExpr &e, const std::int64_t *fields,
-                         std::int64_t *stack, std::int64_t *locals) const
+                         std::int64_t *stack) const
 {
-    if (e.kind <= CExpr::Kind::BinCF)
+    if (e.kind <= CExpr::Kind::BinFC)
         return evalLeaf(e, fields);
     // Superinstruction dispatch: leaf children (the overwhelmingly
-    // common case — Affine/Select3 and leaf-binary pairs) evaluate
-    // through the always-inlined evalLeaf instead of a recursive call.
+    // common case — Affine and field-const operands) evaluate through
+    // the always-inlined evalLeaf instead of a recursive call.
     const auto sub = [&](std::int32_t idx) {
         const CExpr &k = programs[idx];
-        return k.kind <= CExpr::Kind::BinCF
+        return k.kind <= CExpr::Kind::BinFC
             ? evalLeaf(k, fields)
-            : evalExpr(k, fields, stack, locals);
+            : evalExpr(k, fields, stack);
     };
     switch (e.kind) {
       case CExpr::Kind::Bin2:
         return applyBOp(e.op, sub(e.a), sub(e.b));
-      case CExpr::Kind::Not1:
-        return sub(e.a) == 0 ? 1 : 0;
-      case CExpr::Kind::Select3:
-        return sub(e.a) != 0 ? sub(e.b) : sub(e.c);
       default:
         return execProgram(code.data() + e.first, e.count, pool.data(),
-                           fields, stack, locals);
+                           fields, stack);
     }
 }
 
@@ -1430,7 +1304,7 @@ std::uint64_t
 CompiledDesign::runFsm(FsmId id, StateId start,
                        const std::int64_t *fields,
                        Recorder *recorder, double &energy_units,
-                       std::int64_t *stack, std::int64_t *locals) const
+                       std::int64_t *stack) const
 {
     const CFsm &fsm = cfsms[id];
     const CState *base = states.data() + fsm.firstState;
@@ -1472,9 +1346,9 @@ CompiledDesign::runFsm(FsmId id, StateId start,
                         continue;
                     const CSlot &s = spool[r.dynSlot];
                     const CExpr &pe = programs[s.prog];
-                    std::int64_t v = pe.kind <= CExpr::Kind::BinCF
+                    std::int64_t v = pe.kind <= CExpr::Kind::BinFC
                         ? evalLeaf(pe, fields)
-                        : evalExpr(pe, fields, stack, locals);
+                        : evalExpr(pe, fields, stack);
                     if (v < 1)
                         v = 1;
                     std::uint64_t dwell;
@@ -1515,9 +1389,9 @@ CompiledDesign::runFsm(FsmId id, StateId start,
                 // Dwell-dynamic slot: same evaluation and clamping as
                 // the interpreted path below.
                 const CExpr &pe = programs[s.prog];
-                std::int64_t v = pe.kind <= CExpr::Kind::BinCF
+                std::int64_t v = pe.kind <= CExpr::Kind::BinFC
                     ? evalLeaf(pe, fields)
-                    : evalExpr(pe, fields, stack, locals);
+                    : evalExpr(pe, fields, stack);
                 if (v < 1)
                     v = 1;
                 std::uint64_t dwell;
@@ -1567,9 +1441,9 @@ CompiledDesign::runFsm(FsmId id, StateId start,
             dwell = st.fixedDwell;
         } else if (st.kind == LatencyKind::CounterWait) {
             const CExpr &pe = programs[st.prog];
-            std::int64_t range = pe.kind <= CExpr::Kind::BinCF
+            std::int64_t range = pe.kind <= CExpr::Kind::BinFC
                 ? evalLeaf(pe, fields)
-                : evalExpr(pe, fields, stack, locals);
+                : evalExpr(pe, fields, stack);
             if (range < 1)
                 range = 1;
             if (st.armOnly) {
@@ -1589,9 +1463,9 @@ CompiledDesign::runFsm(FsmId id, StateId start,
             }
         } else {
             const CExpr &pe = programs[st.prog];
-            std::int64_t lat = pe.kind <= CExpr::Kind::BinCF
+            std::int64_t lat = pe.kind <= CExpr::Kind::BinFC
                 ? evalLeaf(pe, fields)
-                : evalExpr(pe, fields, stack, locals);
+                : evalExpr(pe, fields, stack);
             if (lat < 1)
                 lat = 1;
             dwell = static_cast<std::uint64_t>(lat);
@@ -1611,9 +1485,9 @@ CompiledDesign::runFsm(FsmId id, StateId start,
                 break;
             }
             const CExpr &ge = programs[tr[i].guard];
-            const std::int64_t g = ge.kind <= CExpr::Kind::BinCF
+            const std::int64_t g = ge.kind <= CExpr::Kind::BinFC
                 ? evalLeaf(ge, fields)
-                : evalExpr(ge, fields, stack, locals);
+                : evalExpr(ge, fields, stack);
             if (g != 0) {
                 next = tr[i].dst;
                 break;
@@ -1649,9 +1523,7 @@ CompiledDesign::runJob(const JobInput &job, Recorder *recorder,
 
     // One allocation per job, reused by every program evaluation; the
     // per-item and per-state paths below are allocation-free.
-    std::vector<std::int64_t> scratch(maxStack + maxLocals);
-    std::int64_t *stack = scratch.data();
-    std::int64_t *locals = scratch.data() + maxStack;
+    std::vector<std::int64_t> stack(maxStack);
     std::vector<std::uint64_t> end_time(cfsms.size(), 0);
 
     for (const WorkItem &item : job.items) {
@@ -1670,7 +1542,7 @@ CompiledDesign::runJob(const JobInput &job, Recorder *recorder,
             const std::uint64_t lat =
                 runFsm<WithRec>(id, cfsms[id].initial,
                                 item.fields.data(), recorder,
-                                result.energyUnits, stack, locals);
+                                result.energyUnits, stack.data());
             end_time[id] = start + lat;
             item_latency = std::max(item_latency, end_time[id]);
         }
@@ -1719,16 +1591,14 @@ CompiledDesign::runBatch(const JobInput *const *jobs, std::size_t n,
         max_items = std::max(max_items, jobs[l]->items.size());
     }
 
-    std::vector<std::int64_t> scratch(maxStack + maxLocals);
+    std::vector<std::int64_t> scratch(maxStack);
     std::int64_t *stack = scratch.data();
-    std::int64_t *locals = scratch.data() + maxStack;
 
     std::vector<std::size_t> active(n);
     std::vector<const std::int64_t *> fptr(n);
     std::vector<std::int64_t> fieldsT(nf * n);
     std::vector<std::int64_t> v(n);
-    std::vector<std::int64_t> u(n);   //!< Superinstruction operand 1.
-    std::vector<std::int64_t> w(n);   //!< Superinstruction operand 2.
+    std::vector<std::int64_t> u(n);   //!< Superinstruction operand.
     std::vector<std::size_t> spec(n); //!< Still-speculating lane set.
     std::vector<std::uint64_t> lat(n);
     std::vector<double> estep(n);
@@ -1783,81 +1653,41 @@ CompiledDesign::runBatch(const JobInput *const *jobs, std::size_t n,
             }
             break;
           }
-          case CExpr::Kind::BinFF: {
-            const std::int64_t *Fa =
-                fieldsT.data() + static_cast<std::size_t>(pe.field) * A;
-            const std::int64_t *Fb =
-                fieldsT.data() + static_cast<std::size_t>(pe.fieldB) * A;
-            for (std::size_t j = 0; j < A; ++j)
-                dst[j] = applyBOp(pe.op, Fa[j], Fb[j]);
-            break;
-          }
-          case CExpr::Kind::BinFC: {
+          default: {  // BinFC; callers never pass recursive kinds.
             const std::int64_t *F =
                 fieldsT.data() + static_cast<std::size_t>(pe.field) * A;
             for (std::size_t j = 0; j < A; ++j)
                 dst[j] = applyBOp(pe.op, F[j], pe.imm);
             break;
           }
-          default: {  // BinCF; callers never pass recursive kinds.
-            const std::int64_t *F =
-                fieldsT.data() + static_cast<std::size_t>(pe.fieldB) * A;
-            for (std::size_t j = 0; j < A; ++j)
-                dst[j] = applyBOp(pe.op, pe.imm, F[j]);
-            break;
-          }
         }
     };
 
     // Evaluate one dwell/guard program for lanes [0, A): values into
-    // v. Leaf kinds vectorise directly; one-level composites over
-    // leaf children (the Select3/Bin2 superinstructions) evaluate
-    // both operands lane-wise and blend — exact, because every
-    // expression is pure and total, so evaluating an untaken select
-    // arm cannot change the selected lane value. Only deeper shapes
-    // fall back to per-lane recursive evaluation over the lane's
-    // original (AoS) field array.
-    const auto evalLanes = [&](const CExpr &pe, std::size_t A) {
-        if (pe.kind <= CExpr::Kind::BinCF) {
+    // v. Leaf kinds vectorise directly; a Bin2 over leaf children (the
+    // superinstruction) evaluates both operands lane-wise and combines
+    // them. Only deeper shapes fall back to per-lane recursive
+    // evaluation over the lane's original (AoS) field array. Kept out
+    // of line: GCC otherwise inlines its leaf test into the three call
+    // sites below, which cost 64-lane batches up to 9% (cjpeg, md) in
+    // a same-process A/B.
+    const auto evalLanes = [&](const CExpr &pe, std::size_t A)
+        PREDVFS_NOINLINE {
+        if (pe.kind <= CExpr::Kind::BinFC) {
             evalLeafLanes(pe, A, v.data());
             return;
         }
-        switch (pe.kind) {
-          case CExpr::Kind::Bin2:
-            if (programs[pe.a].kind <= CExpr::Kind::BinCF &&
-                programs[pe.b].kind <= CExpr::Kind::BinCF) {
-                evalLeafLanes(programs[pe.a], A, u.data());
-                evalLeafLanes(programs[pe.b], A, v.data());
-                for (std::size_t j = 0; j < A; ++j)
-                    v[j] = applyBOp(pe.op, u[j], v[j]);
-                return;
-            }
-            break;
-          case CExpr::Kind::Not1:
-            if (programs[pe.a].kind <= CExpr::Kind::BinCF) {
-                evalLeafLanes(programs[pe.a], A, v.data());
-                for (std::size_t j = 0; j < A; ++j)
-                    v[j] = v[j] == 0 ? 1 : 0;
-                return;
-            }
-            break;
-          case CExpr::Kind::Select3:
-            if (programs[pe.a].kind <= CExpr::Kind::BinCF &&
-                programs[pe.b].kind <= CExpr::Kind::BinCF &&
-                programs[pe.c].kind <= CExpr::Kind::BinCF) {
-                evalLeafLanes(programs[pe.a], A, u.data());
-                evalLeafLanes(programs[pe.b], A, w.data());
-                evalLeafLanes(programs[pe.c], A, v.data());
-                for (std::size_t j = 0; j < A; ++j)
-                    v[j] = u[j] != 0 ? w[j] : v[j];
-                return;
-            }
-            break;
-          default:
-            break;
+        if (pe.kind == CExpr::Kind::Bin2 &&
+            programs[pe.a].kind <= CExpr::Kind::BinFC &&
+            programs[pe.b].kind <= CExpr::Kind::BinFC) {
+            evalLeafLanes(programs[pe.a], A, u.data());
+            evalLeafLanes(programs[pe.b], A, v.data());
+            for (std::size_t j = 0; j < A; ++j)
+                v[j] = applyBOp(pe.op, u[j], v[j]);
+            return;
         }
         for (std::size_t j = 0; j < A; ++j)
-            v[j] = evalExpr(pe, fptr[j], stack, locals);
+            v[j] = evalExpr(pe, fptr[j], stack);
     };
 
     // Clamp v to dwell and accumulate — the slot's counter/waitScale
@@ -2078,7 +1908,7 @@ CompiledDesign::runBatch(const JobInput *const *jobs, std::size_t n,
                             taken ? nd.takenDst : nd.notDst;
                         lat[j] += runFsm<false>(id, actual, fptr[j],
                                                 nullptr, estep[j],
-                                                stack, locals);
+                                                stack);
                         if (stats)
                             ++stats->fsms[id].mispredicts;
                     }
@@ -2094,8 +1924,7 @@ CompiledDesign::runBatch(const JobInput *const *jobs, std::size_t n,
             } else {
                 for (std::size_t j = 0; j < A; ++j)
                     lat[j] = runFsm<false>(id, fsm.initial, fptr[j],
-                                           nullptr, estep[j], stack,
-                                           locals);
+                                           nullptr, estep[j], stack);
                 if (stats)
                     stats->fsms[id].scalarLaneItems += A;
             }

@@ -12,8 +12,7 @@
  *  - constant subtrees fold to a single PushConst (the factory
  *    functions already fold; the compiler folds again defensively so
  *    pre-folding trees, e.g. deserialised ones, compile identically);
- *  - common subtrees are value-numbered and computed once, with
- *    StoreLocal/LoadLocal spilling through a scratch slot;
+ *  - equal literals share one slot of the literal pool;
  *  - programs that reduce to a literal or a single field read skip the
  *    dispatch loop entirely.
  *
@@ -38,9 +37,10 @@
  * its clamping metadata, evaluated inline). Executing a chain of k
  * states is then a linear sweep over k slots — no guard search, no
  * latency dispatch, no state-table walk. Only branch-dynamic states
- * (field-dependent guards) fall back to interpretation, and small
- * expressions are specialised past the bytecode dispatch loop
- * entirely. run() is a drop-in replacement
+ * (field-dependent guards) fall back to interpretation, and affine,
+ * field-against-constant and shallow binary expressions are
+ * specialised past the bytecode dispatch loop entirely (CExpr below).
+ * run() is a drop-in replacement
  * for the tree-walking interpreter: same cycle counts, bit-identical
  * energy accumulation (the floating-point operation sequence is
  * preserved), and identical Recorder callbacks. It is const and
@@ -67,8 +67,6 @@ enum class BOp : std::uint8_t
 {
     PushConst,   //!< Push pool[arg].
     PushField,   //!< Push fields[arg].
-    LoadLocal,   //!< Push locals[arg] (a CSE'd subtree value).
-    StoreLocal,  //!< locals[arg] = top of stack (value stays pushed).
     Add, Sub, Mul, Div, Mod,   //!< Pop b, a; push a op b (safeDiv/Mod).
     Min, Max,
     Eq, Ne, Lt, Le, Gt, Ge,    //!< Pop b, a; push 0/1.
@@ -77,7 +75,7 @@ enum class BOp : std::uint8_t
     Select,                    //!< Pop e, t, c; push c != 0 ? t : e.
 };
 
-/** One bytecode instruction; arg indexes the pool/fields/locals. */
+/** One bytecode instruction; arg indexes the pool or the fields. */
 struct BInstr
 {
     BOp op;
@@ -186,14 +184,10 @@ class ExprProgram
     /** @return instruction count (0 for const/field-specialised). */
     std::size_t codeLength() const { return code.size(); }
 
-    /** @return CSE scratch slots the program uses. */
-    std::size_t numLocals() const { return localsNeeded; }
-
   private:
     std::vector<BInstr> code;
     std::vector<std::int64_t> pool;
     std::uint32_t stackNeeded = 0;
-    std::uint32_t localsNeeded = 0;
     FieldId maxField = -1;  //!< Highest field the program reads.
     // Specialisations: kind 0 = program, 1 = constant, 2 = field.
     int kind = 0;
@@ -352,7 +346,7 @@ class CompiledDesign
     }
 
     /** Scratch slots evalProgram() needs (allocate once, reuse). */
-    std::size_t scratchSize() const { return maxStack + maxLocals; }
+    std::size_t scratchSize() const { return maxStack; }
 
     /**
      * Evaluate one compiled program against a field vector. @p scratch
@@ -364,9 +358,9 @@ class CompiledDesign
                 std::int64_t *scratch) const
     {
         const CExpr &e = programs[idx];
-        if (e.kind <= CExpr::Kind::BinCF)
+        if (e.kind <= CExpr::Kind::BinFC)
             return evalLeaf(e, fields);
-        return evalExpr(e, fields, scratch, scratch + maxStack);
+        return evalExpr(e, fields, scratch);
     }
     /// @}
 
@@ -385,10 +379,11 @@ class CompiledDesign
      * the generic bytecode dispatch loop, the design compiler lowers
      * each one to nodes the evaluator handles with straight-line code:
      * affine forms become a constant plus (coefficient, field) pairs,
-     * one binary op over two leaves becomes a direct computation, and
-     * selects/general binaries recurse through child node indices
-     * (depth is the tree depth, a handful at most). The bytecode
-     * program kind remains as the fully general fallback.
+     * a field against a constant becomes a direct computation, and any
+     * other binary of at most five tree nodes recurses through child
+     * node indices. Everything else — deep arithmetic, Not, selects the
+     * affine fold cannot absorb — runs as a bytecode program. These
+     * are the shapes the benchmark designs and their slices produce.
      */
     struct CExpr
     {
@@ -397,22 +392,16 @@ class CompiledDesign
             Const,      //!< imm.
             Field,      //!< fields[field].
             Affine,     //!< imm + sum of affinePool[first..] terms.
-            BinFF,      //!< fields[field] op fields[fieldB].
             BinFC,      //!< fields[field] op imm.
-            BinCF,      //!< imm op fields[fieldB].
             Bin2,       //!< eval(a) op eval(b).
-            Not1,       //!< eval(a) == 0.
-            Select3,    //!< eval(a) != 0 ? eval(b) : eval(c).
             Program,    //!< Full bytecode program.
         };
         Kind kind = Kind::Const;
         BOp op = BOp::Add;        //!< Binary specialisations.
         FieldId field = -1;
-        FieldId fieldB = -1;
         std::int64_t imm = 0;
-        std::int32_t a = -1;      //!< Child node indices (Bin2, Not1,
-        std::int32_t b = -1;      //!< Select3).
-        std::int32_t c = -1;
+        std::int32_t a = -1;      //!< Bin2 child node indices.
+        std::int32_t b = -1;
         std::uint32_t first = 0;  //!< Code pool offset / affine pool.
         std::uint32_t count = 0;  //!< Instruction / term count.
     };
@@ -532,7 +521,7 @@ class CompiledDesign
     /**
      * Evaluate a flat (non-recursive) node. Defined in-class so every
      * per-visit call site inlines down to the bare loads and ops; the
-     * caller guarantees `e.kind <= Kind::BinCF`.
+     * caller guarantees `e.kind <= Kind::BinFC`.
      */
     [[gnu::always_inline]] std::int64_t
     evalLeaf(const CExpr &e, const std::int64_t *fields) const
@@ -562,18 +551,13 @@ class CompiledDesign
             }
             return v;
           }
-          case CExpr::Kind::BinFF:
-            return applyBOp(e.op, fields[e.field], fields[e.fieldB]);
-          case CExpr::Kind::BinFC:
+          default:  // BinFC; callers never pass recursive kinds.
             return applyBOp(e.op, fields[e.field], e.imm);
-          default:  // BinCF; callers never pass recursive kinds.
-            return applyBOp(e.op, e.imm, fields[e.fieldB]);
         }
     }
 
     std::int64_t evalExpr(const CExpr &e, const std::int64_t *fields,
-                          std::int64_t *stack,
-                          std::int64_t *locals) const;
+                          std::int64_t *stack) const;
 
     /**
      * The statically-routed walk of one FSM, when it exists: the
@@ -656,8 +640,7 @@ class CompiledDesign
     std::uint64_t runFsm(FsmId id, StateId start,
                          const std::int64_t *fields,
                          Recorder *recorder, double &energy_units,
-                         std::int64_t *stack,
-                         std::int64_t *locals) const;
+                         std::int64_t *stack) const;
 
     template <bool WithRec>
     JobResult runJob(const JobInput &job, Recorder *recorder,
@@ -685,7 +668,6 @@ class CompiledDesign
     //! Top-level (tree, program) pairs, in compile order.
     std::vector<std::pair<ExprPtr, std::int32_t>> roots;
     std::uint32_t maxStack = 0;
-    std::uint32_t maxLocals = 0;
     FieldId maxFieldRead = -1;
     std::uint64_t jobOverhead = 0;
     double ctrlEnergy = 0.0;

@@ -127,9 +127,9 @@ isBoolValued(Op op)
  * evaluator is total; Not(x) becomes Eq(x, 0); Gt/Ge canonicalize to
  * Lt/Le with swapped operands and commutative atoms sort their
  * operands. Coefficient arithmetic wraps exactly like the compiler's
- * addWrap/mulWrap, so the compiler's affine reassociation and CSE
- * produce polynomials identical to the source's whenever the compile
- * is faithful. Boolean-valued atoms are idempotent (a*a == a for
+ * addWrap/mulWrap, so the compiler's affine reassociation produces
+ * polynomials identical to the source's whenever the compile is
+ * faithful. Boolean-valued atoms are idempotent (a*a == a for
  * 0/1-valued a), which keeps Select-expansion products canonical.
  */
 class PolyCtx
@@ -448,7 +448,6 @@ verifyCodeName(VerifyCode code)
       case VerifyCode::ResultCountMismatch: return "result-count-mismatch";
       case VerifyCode::StackBudgetExceeded: return "stack-budget-exceeded";
       case VerifyCode::BadOperand: return "bad-operand";
-      case VerifyCode::UndefinedLocal: return "undefined-local";
       case VerifyCode::BadOpcode: return "bad-opcode";
       case VerifyCode::DivByZeroDefinite: return "div-by-zero-definite";
       case VerifyCode::SegmentCycleMismatch:
@@ -843,8 +842,6 @@ Verifier::checkProgram(std::int32_t idx)
                     "code slice exceeds the instruction pool");
 
     std::vector<Interval> stack;
-    std::vector<Interval> localIv(c.maxLocals, Interval::full());
-    std::vector<bool> defined(c.maxLocals, false);
     std::size_t max_depth = 0;
 
     for (std::uint32_t i = 0; i < e.count; ++i) {
@@ -875,33 +872,6 @@ Verifier::checkProgram(std::int32_t idx)
                                 " out of range");
             }
             stack.push_back(fieldIvs[in.arg]);
-            break;
-          case BOp::LoadLocal:
-            if (in.arg < 0 ||
-                static_cast<std::uint32_t>(in.arg) >= c.maxLocals) {
-                return fail(VerifyCode::BadOperand,
-                            "LoadLocal slot " + std::to_string(in.arg) +
-                                " exceeds the locals budget");
-            }
-            if (!defined[in.arg])
-                return fail(VerifyCode::UndefinedLocal,
-                            "LoadLocal slot " + std::to_string(in.arg) +
-                                " read before any StoreLocal");
-            stack.push_back(localIv[in.arg]);
-            break;
-          case BOp::StoreLocal:
-            if (in.arg < 0 ||
-                static_cast<std::uint32_t>(in.arg) >= c.maxLocals) {
-                return fail(VerifyCode::BadOperand,
-                            "StoreLocal slot " +
-                                std::to_string(in.arg) +
-                                " exceeds the locals budget");
-            }
-            if (stack.empty())
-                return fail(VerifyCode::StackUnderflow,
-                            "StoreLocal on an empty stack");
-            localIv[in.arg] = stack.back();
-            defined[in.arg] = true;
             break;
           case BOp::Not:
             if (stack.empty())
@@ -1011,25 +981,11 @@ Verifier::ivOf(std::int32_t idx)
         iv = acc;
         break;
       }
-      case CExpr::Kind::BinFF: {
-        const Interval b = fieldIvs[e.fieldB];
-        if (e.op == BOp::Div || e.op == BOp::Mod)
-            checkDivisor(b, idx, "a field-field binary");
-        iv = binaryOpInterval(opOfB(e.op), fieldIvs[e.field], b);
-        break;
-      }
       case CExpr::Kind::BinFC: {
         const Interval b = Interval::point(e.imm);
         if (e.op == BOp::Div || e.op == BOp::Mod)
             checkDivisor(b, idx, "a field-const binary");
         iv = binaryOpInterval(opOfB(e.op), fieldIvs[e.field], b);
-        break;
-      }
-      case CExpr::Kind::BinCF: {
-        const Interval b = fieldIvs[e.fieldB];
-        if (e.op == BOp::Div || e.op == BOp::Mod)
-            checkDivisor(b, idx, "a const-field binary");
-        iv = binaryOpInterval(opOfB(e.op), Interval::point(e.imm), b);
         break;
       }
       case CExpr::Kind::Bin2: {
@@ -1038,21 +994,6 @@ Verifier::ivOf(std::int32_t idx)
         if (e.op == BOp::Div || e.op == BOp::Mod)
             checkDivisor(b, idx, "a composite binary");
         iv = binaryOpInterval(opOfB(e.op), a, b);
-        break;
-      }
-      case CExpr::Kind::Not1:
-        iv = notIv(ivOf(e.a));
-        break;
-      case CExpr::Kind::Select3: {
-        const Interval cv = ivOf(e.a);
-        const Interval tv = ivOf(e.b);
-        const Interval ev = ivOf(e.c);
-        if (cv.definitelyTrue())
-            iv = tv;
-        else if (cv.definitelyFalse())
-            iv = ev;
-        else
-            iv = tv.hull(ev);
         break;
       }
       case CExpr::Kind::Program:
@@ -1083,7 +1024,6 @@ Poly
 Verifier::reliftCode(const CExpr &e)
 {
     std::vector<Poly> stack;
-    std::vector<Poly> locals(c.maxLocals);
     for (std::uint32_t i = 0; i < e.count; ++i) {
         const BInstr in = c.code[e.first + i];
         switch (in.op) {
@@ -1092,12 +1032,6 @@ Verifier::reliftCode(const CExpr &e)
             break;
           case BOp::PushField:
             stack.push_back(ctx.fieldVar(in.arg));
-            break;
-          case BOp::LoadLocal:
-            stack.push_back(locals[in.arg]);
-            break;
-          case BOp::StoreLocal:
-            locals[in.arg] = stack.back();
             break;
           case BOp::Not:
             stack.back() = ctx.notOf(stack.back());
@@ -1166,26 +1100,12 @@ Verifier::relift(std::int32_t idx)
         }
         break;
       }
-      case CExpr::Kind::BinFF:
-        p = ctx.binary(opOfB(e.op), ctx.fieldVar(e.field),
-                       ctx.fieldVar(e.fieldB));
-        break;
       case CExpr::Kind::BinFC:
         p = ctx.binary(opOfB(e.op), ctx.fieldVar(e.field),
                        ctx.constant(e.imm));
         break;
-      case CExpr::Kind::BinCF:
-        p = ctx.binary(opOfB(e.op), ctx.constant(e.imm),
-                       ctx.fieldVar(e.fieldB));
-        break;
       case CExpr::Kind::Bin2:
         p = ctx.binary(opOfB(e.op), relift(e.a), relift(e.b));
-        break;
-      case CExpr::Kind::Not1:
-        p = ctx.notOf(relift(e.a));
-        break;
-      case CExpr::Kind::Select3:
-        p = ctx.select(relift(e.a), relift(e.b), relift(e.c));
         break;
       case CExpr::Kind::Program:
         p = reliftCode(e);
@@ -1210,27 +1130,12 @@ Verifier::collectProgramFields(std::int32_t idx,
         for (std::uint32_t i = 0; i < e.count; ++i)
             out.insert(c.affinePool[e.first + i].field);
         break;
-      case CExpr::Kind::BinFF:
-        out.insert(e.field);
-        out.insert(e.fieldB);
-        break;
       case CExpr::Kind::BinFC:
         out.insert(e.field);
-        break;
-      case CExpr::Kind::BinCF:
-        out.insert(e.fieldB);
         break;
       case CExpr::Kind::Bin2:
         collectProgramFields(e.a, out);
         collectProgramFields(e.b, out);
-        break;
-      case CExpr::Kind::Not1:
-        collectProgramFields(e.a, out);
-        break;
-      case CExpr::Kind::Select3:
-        collectProgramFields(e.a, out);
-        collectProgramFields(e.b, out);
-        collectProgramFields(e.c, out);
         break;
       case CExpr::Kind::Program:
         for (std::uint32_t i = 0; i < e.count; ++i) {
@@ -2048,7 +1953,6 @@ miscompileName(Miscompile kind)
       case Miscompile::SwapBinOperands: return "swap-bin-operands";
       case Miscompile::WrongOpcode: return "wrong-opcode";
       case Miscompile::PoolConstCorrupt: return "pool-const-corrupt";
-      case Miscompile::WrongCseMerge: return "wrong-cse-merge";
       case Miscompile::StackImbalance: return "stack-imbalance";
       case Miscompile::FieldIndexCorrupt: return "field-index-corrupt";
       case Miscompile::PresummedCyclesOffByOne:
@@ -2154,6 +2058,15 @@ injectMiscompile(CompiledDesign &comp, Miscompile kind, unsigned seed)
     const auto tag = [&](const std::string &what) {
         return std::string(miscompileName(kind)) + ": " + what;
     };
+    // A Bin2 whose operands are one node, or two reads of one field:
+    // swapping them, or trading Min/Max or And/Or, is an identity.
+    const auto sameOperands = [&](const CExpr &e) {
+        const CExpr &a = comp.programs[e.a];
+        const CExpr &b = comp.programs[e.b];
+        return e.a == e.b ||
+            (a.kind == CExpr::Kind::Field &&
+             b.kind == CExpr::Kind::Field && a.field == b.field);
+    };
 
     switch (kind) {
       case Miscompile::DropAffineTerm: {
@@ -2193,55 +2106,19 @@ injectMiscompile(CompiledDesign &comp, Miscompile kind, unsigned seed)
       }
 
       case Miscompile::SwapBinOperands: {
+        // Bin2 is the only node with two operand slots; a BinFC has
+        // no swapped form.
         std::vector<std::size_t> sites;
         for (std::size_t i = 0; i < comp.programs.size(); ++i) {
             const CExpr &e = comp.programs[i];
-            switch (e.kind) {
-              case CExpr::Kind::BinFF:
-                if (isNonCommutative(e.op) && e.field != e.fieldB &&
-                    !(pointBounds(d, e.field) &&
-                      pointBounds(d, e.fieldB))) {
-                    sites.push_back(i);
-                }
-                break;
-              case CExpr::Kind::BinFC:
-                if (isNonCommutative(e.op) && !pointBounds(d, e.field))
-                    sites.push_back(i);
-                break;
-              case CExpr::Kind::BinCF:
-                if (isNonCommutative(e.op) && !pointBounds(d, e.fieldB))
-                    sites.push_back(i);
-                break;
-              case CExpr::Kind::Bin2:
-                if (isNonCommutative(e.op) && e.a != e.b)
-                    sites.push_back(i);
-                break;
-              default:
-                break;
-            }
+            if (e.kind == CExpr::Kind::Bin2 && isNonCommutative(e.op) &&
+                !sameOperands(e))
+                sites.push_back(i);
         }
         if (sites.empty())
             return "";
         const std::size_t p = sites[pickSite(seed, sites.size())];
-        CExpr &e = comp.programs[p];
-        switch (e.kind) {
-          case CExpr::Kind::BinFF:
-            std::swap(e.field, e.fieldB);
-            break;
-          case CExpr::Kind::BinFC:
-            e.kind = CExpr::Kind::BinCF;
-            e.fieldB = e.field;
-            e.field = -1;
-            break;
-          case CExpr::Kind::BinCF:
-            e.kind = CExpr::Kind::BinFC;
-            e.field = e.fieldB;
-            e.fieldB = -1;
-            break;
-          default:
-            std::swap(e.a, e.b);
-            break;
-        }
+        std::swap(comp.programs[p].a, comp.programs[p].b);
         return tag("swapped the operands of non-commutative program #" +
                    std::to_string(p));
       }
@@ -2260,17 +2137,13 @@ injectMiscompile(CompiledDesign &comp, Miscompile kind, unsigned seed)
         std::vector<Site> sites;
         for (std::size_t i = 0; i < comp.programs.size(); ++i) {
             const CExpr &e = comp.programs[i];
-            if (e.kind != CExpr::Kind::BinFF &&
-                e.kind != CExpr::Kind::BinFC &&
-                e.kind != CExpr::Kind::BinCF &&
+            if (e.kind != CExpr::Kind::BinFC &&
                 e.kind != CExpr::Kind::Bin2)
                 continue;
             BOp repl;
             if (!dualOp(e.op, repl))
                 continue;
-            // Min<->Max and And<->Or on a field paired with itself are
-            // identity rewrites; skip those.
-            if (e.kind == CExpr::Kind::BinFF && e.field == e.fieldB &&
+            if (e.kind == CExpr::Kind::Bin2 && sameOperands(e) &&
                 (e.op == BOp::Min || e.op == BOp::Max ||
                  e.op == BOp::And || e.op == BOp::Or))
                 continue;
@@ -2307,40 +2180,6 @@ injectMiscompile(CompiledDesign &comp, Miscompile kind, unsigned seed)
         return tag("perturbed literal-pool entry " + std::to_string(k));
       }
 
-      case Miscompile::WrongCseMerge: {
-        struct Site
-        {
-            std::size_t idx;                  //!< Global code index.
-            std::vector<std::int32_t> alts;   //!< Other live slots.
-        };
-        std::vector<Site> sites;
-        for (const CExpr &e : comp.programs) {
-            if (e.kind != CExpr::Kind::Program)
-                continue;
-            std::set<std::int32_t> defined;
-            for (std::uint32_t i = 0; i < e.count; ++i) {
-                const BInstr &in = comp.code[e.first + i];
-                if (in.op == BOp::StoreLocal) {
-                    defined.insert(in.arg);
-                } else if (in.op == BOp::LoadLocal) {
-                    std::vector<std::int32_t> alts;
-                    for (std::int32_t s : defined)
-                        if (s != in.arg)
-                            alts.push_back(s);
-                    if (!alts.empty())
-                        sites.push_back({e.first + i, alts});
-                }
-            }
-        }
-        if (sites.empty())
-            return "";
-        const Site &s = sites[pickSite(seed, sites.size())];
-        comp.code[s.idx].arg =
-            s.alts[pickSite(seed + 1, s.alts.size())];
-        return tag("redirected the LoadLocal at instruction " +
-                   std::to_string(s.idx) + " to another CSE slot");
-      }
-
       case Miscompile::StackImbalance: {
         std::vector<std::size_t> sites;
         for (const CExpr &e : comp.programs) {
@@ -2348,8 +2187,7 @@ injectMiscompile(CompiledDesign &comp, Miscompile kind, unsigned seed)
                 continue;
             for (std::uint32_t i = 0; i < e.count; ++i) {
                 const BOp op = comp.code[e.first + i].op;
-                if (op == BOp::PushConst || op == BOp::PushField ||
-                    op == BOp::LoadLocal)
+                if (op == BOp::PushConst || op == BOp::PushField)
                     sites.push_back(e.first + i);
             }
         }
@@ -2375,7 +2213,7 @@ injectMiscompile(CompiledDesign &comp, Miscompile kind, unsigned seed)
         {
             enum What
             {
-                NodeField, NodeFieldB, TermField, CodeField
+                NodeField, TermField, CodeField
             } what;
             std::size_t idx;
         };
@@ -2387,16 +2225,6 @@ injectMiscompile(CompiledDesign &comp, Miscompile kind, unsigned seed)
               case CExpr::Kind::BinFC:
                 if (eligible(e.field))
                     sites.push_back({Site::NodeField, i});
-                break;
-              case CExpr::Kind::BinFF:
-                if (eligible(e.field))
-                    sites.push_back({Site::NodeField, i});
-                if (eligible(e.fieldB))
-                    sites.push_back({Site::NodeFieldB, i});
-                break;
-              case CExpr::Kind::BinCF:
-                if (eligible(e.fieldB))
-                    sites.push_back({Site::NodeFieldB, i});
                 break;
               case CExpr::Kind::Affine:
                 for (std::uint32_t t = 0; t < e.count; ++t) {
@@ -2428,10 +2256,6 @@ injectMiscompile(CompiledDesign &comp, Miscompile kind, unsigned seed)
           case Site::NodeField:
             comp.programs[s.idx].field =
                 shift(comp.programs[s.idx].field);
-            break;
-          case Site::NodeFieldB:
-            comp.programs[s.idx].fieldB =
-                shift(comp.programs[s.idx].fieldB);
             break;
           case Site::TermField:
             comp.affinePool[s.idx].field =

@@ -12,22 +12,22 @@
  * reliance on concrete job execution:
  *
  *  1. Symbolic equivalence — every compiled root (Const/Field/Affine
- *     merged terms, BinFF/BinFC/BinCF leaves, Not1/Bin2/Select3
- *     composites, and CSE-deduped postfix bytecode) is re-lifted into
- *     a canonical polynomial normal form over hash-consed atoms
- *     (wrapping mod-2^64 arithmetic modeled exactly; Select rewritten
- *     as e + (t - e) * [cond]) and compared against the normalized
- *     source tree. When the canonical forms differ, the checker falls
- *     back to exact enumeration over the consumed fields' declared
- *     domain (the same <= 4096-point budget the lint enumerator uses);
- *     only a proof — canonical or exhaustive — passes.
+ *     merged terms, BinFC leaves, Bin2 composites, and postfix
+ *     bytecode) is re-lifted into a canonical polynomial normal form
+ *     over hash-consed atoms (wrapping mod-2^64 arithmetic modeled
+ *     exactly; Select rewritten as e + (t - e) * [cond]) and compared
+ *     against the normalized source tree. When the canonical forms
+ *     differ, the checker falls back to exact enumeration over the
+ *     consumed fields' declared domain (the same <= 4096-point budget
+ *     the lint enumerator uses); only a proof — canonical or
+ *     exhaustive — passes.
  *
  *  2. Bytecode well-formedness — abstract stack-depth and operand
  *     verification of every postfix program (no underflow, exactly one
- *     result, declared stack/local budgets respected, every operand
- *     index in range, locals defined before use), with interval
- *     analysis (rtl/interval) propagated through the stack slots to
- *     prove division-by-zero-freedom or pin the guarded-div sites.
+ *     result, the declared stack budget respected, every operand
+ *     index in range), with interval analysis (rtl/interval)
+ *     propagated through the stack slots to prove
+ *     division-by-zero-freedom or pin the guarded-div sites.
  *
  *  3. Fused-segment audit — the per-state dwell, clamping, energy
  *     rate, presummed run cycles, and dense energy-addend slices of
@@ -86,8 +86,7 @@ enum class VerifyCode
     StackUnderflow,       //!< Bytecode pops an empty stack.
     ResultCountMismatch,  //!< Program does not leave exactly one value.
     StackBudgetExceeded,  //!< Depth exceeds the declared maxStack.
-    BadOperand,           //!< Pool/field/local index out of range.
-    UndefinedLocal,       //!< LoadLocal before any StoreLocal.
+    BadOperand,           //!< Pool/field index out of range.
     BadOpcode,            //!< Instruction byte is not a valid BOp.
     DivByZeroDefinite,    //!< A divisor interval is exactly {0}.
     SegmentCycleMismatch, //!< Presummed cycles differ from the source.
@@ -194,7 +193,6 @@ enum class Miscompile
     SwapBinOperands,         //!< Swap a non-commutative binary's sides.
     WrongOpcode,             //!< Replace an operator with its dual.
     PoolConstCorrupt,        //!< Perturb a shared literal-pool entry.
-    WrongCseMerge,           //!< Redirect a LoadLocal to another slot.
     StackImbalance,          //!< Turn a push into a binary op.
     FieldIndexCorrupt,       //!< Shift a field operand to a neighbour.
     PresummedCyclesOffByOne, //!< Corrupt a compressed run's cycle sum.

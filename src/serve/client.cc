@@ -164,9 +164,19 @@ ClientSession::openStream(const std::string &benchmark)
                       ": closed while opening a stream");
     }
     std::lock_guard<std::mutex> lock(mu);
-    streams[opened.streamId] =
-        Stream{benchmark, opened.streamId, opened.streamKey};
-    return opened.streamId;
+    for (const auto &[handle, open] : streams)
+        if (open.benchmark == benchmark)
+            return handle;
+    // Handles outlive redials but wire ids do not: after a renumbering
+    // redial the server's id may already be another stream's handle.
+    std::uint32_t handle = opened.streamId;
+    if (streams.count(handle) != 0) {
+        handle = 1;
+        while (streams.count(handle) != 0)
+            ++handle;
+    }
+    streams[handle] = Stream{benchmark, opened.streamId, opened.streamKey};
+    return handle;
 }
 
 const ClientSession::Stream &

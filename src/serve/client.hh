@@ -144,8 +144,10 @@ class ClientSession
     ClientSession(const char *name, RetryOptions retry);
 
     /** Open @p benchmark, redialling a connection lost mid-open.
-     *  @return the caller's id for it: the server's id at first open,
-     *  mapped to the current one by every later redial. */
+     *  @return the caller's id for it, mapped to the current wire id by
+     *  every later redial: its existing id if already open, else the
+     *  server's id if no other stream holds it, else the smallest
+     *  free one. */
     std::uint32_t openStream(const std::string &benchmark);
 
     /** Key the server reported for the caller's stream @p stream_id. */

@@ -13,11 +13,15 @@
 
 #include <cstdint>
 #include <limits>
+#include <string>
 #include <tuple>
 #include <vector>
 
+#include "accel/builder.hh"
 #include "accel/registry.hh"
+#include "rtl/analysis.hh"
 #include "rtl/compile.hh"
+#include "rtl/instrument.hh"
 #include "rtl/interpreter.hh"
 #include "util/random.hh"
 #include "workload/suite.hh"
@@ -519,22 +523,16 @@ TEST(Compile, MinMaxSaturationBoundaries)
     }
 }
 
-TEST(Compile, CommonSubtreesComputeOnce)
+TEST(Compile, RepeatedSubtreesMatchTree)
 {
-    // Two structurally identical (but distinct) products: the value
-    // numbering must merge them into one computation plus a reload.
+    // Three structurally identical (but distinct) products; each is
+    // computed where it occurs.
     const ExprPtr prod_a = Expr::mul(fld(0), fld(1));
     const ExprPtr prod_b = Expr::mul(fld(0), fld(1));
     const ExprPtr e =
         Expr::add(Expr::add(prod_a, prod_b),
                   Expr::mul(Expr::mul(fld(0), fld(1)), fld(2)));
     const ExprProgram p(e);
-
-    EXPECT_EQ(p.numLocals(), 1u);
-    // Deduped: push f0, push f1, mul, store, load, add, load, push
-    // f2, mul, add = 10; a naive emit would recompute the product
-    // three times (12 instructions).
-    EXPECT_LE(p.codeLength(), 10u);
 
     util::Rng rng(31);
     for (int t = 0; t < 1000; ++t) {
@@ -574,6 +572,169 @@ TEST(Compile, ShortCircuitOperatorsAgreeEagerly)
                 << "a=" << a << " b=" << b;
         }
     }
+}
+
+namespace {
+
+/**
+ * A crafted design whose guards and dwells take the expression shapes
+ * the benchmark designs never produce: field-field compares and
+ * binaries, constant-op-field, constant minus field, Not, selects with
+ * non-constant arms, and a repeated subtree. The `lock` FSM is
+ * statically routed, so the batch kernel evaluates its dwells over
+ * whole lane vectors; `branch` is branch-dynamic with two-way heads,
+ * so speculate() routes it.
+ */
+Design
+shapesDesign()
+{
+    using accel::doneState;
+    using accel::fixedState;
+    using accel::implicitState;
+    using accel::waitState;
+
+    Design d("shapes");
+    const FieldId x = d.addField("x");
+    const FieldId y = d.addField("y");
+    const FieldId z = d.addField("z");
+    d.setFieldRange(x, 0, 9);
+    d.setFieldRange(y, 1, 8);
+    d.setFieldRange(z, 0, 3);
+    const BlockId dp = d.addBlock("dp", 100.0, 0.7);
+
+    const ExprPtr t = Expr::add(Expr::mul(fld(x), fld(y)), lit(1));
+    const CounterId c0 = d.addCounter(
+        "c0", CounterDir::Down,
+        Expr::add(Expr::mul(Expr::logicalNot(fld(z)), lit(5)), fld(y)),
+        16);
+
+    const FsmId lock = d.addFsm("lock");
+    const StateId l0 = d.addState(
+        lock, implicitState("SelectArms",
+                            Expr::select(Expr::gt(fld(x), lit(4)),
+                                         Expr::mul(fld(y), lit(2)),
+                                         Expr::add(fld(x), lit(3))),
+                            dp, 1.5));
+    const StateId l1 = d.addState(
+        lock, implicitState("ConstDivField", Expr::div(lit(60), fld(y)),
+                            dp, 0.5));
+    const StateId l2 = d.addState(
+        lock, implicitState("ConstMinusField", Expr::sub(lit(20), fld(x))));
+    const StateId l3 = d.addState(
+        lock, implicitState("Repeated",
+                            Expr::add(Expr::mod(Expr::mul(t, t), lit(50)),
+                                      t),
+                            dp, 2.0));
+    const StateId l4 = d.addState(
+        lock, implicitState("FieldMax", Expr::max(fld(x), fld(y))));
+    const StateId w0 = d.addState(lock, waitState("NotRange", c0, dp, 1.0));
+    const StateId ld = d.addState(lock, doneState("LockDone"));
+    d.addTransition(lock, l0, nullptr, l1);
+    d.addTransition(lock, l1, nullptr, l2);
+    d.addTransition(lock, l2, nullptr, l3);
+    d.addTransition(lock, l3, nullptr, l4);
+    d.addTransition(lock, l4, nullptr, w0);
+    d.addTransition(lock, w0, nullptr, ld);
+
+    const FsmId branch = d.addFsm("branch");
+    const StateId s0 = d.addState(branch, fixedState("S0", 2, dp, 1.0));
+    const StateId a = d.addState(
+        branch, implicitState("A", Expr::sub(fld(y), fld(x)), dp, 0.25));
+    const StateId b = d.addState(
+        branch, implicitState("B",
+                              Expr::select(Expr::eq(fld(z), lit(1)),
+                                           fld(x), fld(y))));
+    const StateId c = d.addState(branch, fixedState("C", 3, dp, 0.5));
+    const StateId e = d.addState(branch, fixedState("E", 1));
+    const StateId bd = d.addState(branch, doneState("BranchDone"));
+    d.addTransition(branch, s0, Expr::lt(fld(x), fld(y)), a);
+    d.addTransition(branch, s0, nullptr, b);
+    d.addTransition(branch, a, Expr::logicalNot(fld(z)), c);
+    d.addTransition(branch, a, nullptr, e);
+    d.addTransition(branch, b,
+                    Expr::gt(Expr::sub(lit(5), fld(x)), lit(0)), c);
+    d.addTransition(branch, b, nullptr, e);
+    d.addTransition(branch, c,
+                    Expr::select(Expr::gt(fld(z), lit(1)), fld(x),
+                                 Expr::lt(lit(3), fld(y))),
+                    e);
+    d.addTransition(branch, c, nullptr, bd);
+    d.addTransition(branch, e, nullptr, bd);
+
+    d.validate();
+    return d;
+}
+
+void
+expectSameResult(const JobResult &got, const JobResult &want,
+                 const std::string &where)
+{
+    EXPECT_EQ(got.cycles, want.cycles) << where;
+    EXPECT_EQ(got.energyUnits, want.energyUnits) << where;
+}
+
+} // namespace
+
+TEST(Compile, ShapesWithoutTheirOwnNodeKindsMatchReference)
+{
+    const Design d = shapesDesign();
+    CompiledDesign compiled(d);
+    const Interpreter interp(d);
+    ASSERT_EQ(compiled.numLockstepFsms(), 1u);
+    ASSERT_LT(compiled.numSpecialised(), compiled.numPrograms());
+
+    util::Rng rng(0x5ba9e5);
+    std::vector<JobInput> jobs;
+    for (int j = 0; j < 40; ++j) {
+        JobInput job;
+        const auto items = rng.uniformInt(1, 24);
+        for (std::int64_t i = 0; i < items; ++i) {
+            WorkItem item;
+            item.fields = randomFields(d, rng);
+            job.items.push_back(std::move(item));
+        }
+        jobs.push_back(std::move(job));
+    }
+    std::vector<const JobInput *> ptrs;
+    for (const JobInput &job : jobs)
+        ptrs.push_back(&job);
+
+    const std::vector<FeatureSpec> features = analyze(d).features;
+    ASSERT_FALSE(features.empty());
+    Instrumenter got_instr(d, features);
+    Instrumenter ref_instr(d, features);
+    std::vector<JobResult> refs;
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+        const std::string where = "job " + std::to_string(i);
+        std::vector<std::uint64_t> got_items, ref_items;
+        const JobResult ref =
+            interp.runReference(jobs[i], nullptr, &ref_items);
+        refs.push_back(ref);
+        expectSameResult(compiled.run(jobs[i], nullptr, &got_items), ref,
+                         where);
+        EXPECT_EQ(got_items, ref_items) << where;
+
+        got_instr.reset();
+        ref_instr.reset();
+        expectSameResult(compiled.run(jobs[i], &got_instr), ref,
+                         where + ", instrumented");
+        interp.runReference(jobs[i], &ref_instr);
+        EXPECT_EQ(got_instr.values(), ref_instr.values()) << where;
+    }
+
+    const auto expectBatch = [&](const std::string &what) {
+        const std::vector<JobResult> batch = compiled.runBatch(ptrs);
+        ASSERT_EQ(batch.size(), refs.size());
+        for (std::size_t i = 0; i < refs.size(); ++i)
+            expectSameResult(batch[i], refs[i],
+                             what + ", lane " + std::to_string(i));
+    };
+    expectBatch("lockstep batch");
+    compiled.speculate(ptrs.data(), 8);
+    ASSERT_EQ(compiled.numSpeculatedFsms(), 1u);
+    expectBatch("speculative batch");
+    compiled.invertSpeculation();
+    expectBatch("inverted speculative batch");
 }
 
 TEST(CompileDeath, RejectsUnvalidatedDesign)

@@ -34,10 +34,11 @@ namespace {
 /**
  * A crafted design with at least one eligible mutation site for every
  * Miscompile kind: an affine counter range (merged linear and
- * conditional terms), a bytecode program with two CSE'd subtrees and a
- * comparison instruction, binary leaf and composite specialisations, a
- * field-dependent guard (branch-dynamic FSM), and a second, fully
- * statically-routed FSM the lockstep batch kernel traces.
+ * conditional terms), a bytecode program with repeated subtrees and a
+ * comparison instruction, Bin2 composites with non-commutative
+ * operators, a field-dependent guard (branch-dynamic FSM), and a
+ * second, fully statically-routed FSM the lockstep batch kernel
+ * traces.
  */
 Design
 richDesign()
@@ -56,8 +57,8 @@ richDesign()
         d.addCounter("c0", CounterDir::Down, range0, 16);
     const CounterId c1 = d.addCounter("c1", CounterDir::Up, lit(4), 8);
 
-    // Big expression with two shared subtrees (t and u) and a
-    // comparison, so the bytecode path has StoreLocal/LoadLocal pairs
+    // Big expression that repeats two subtrees (t and u) and holds a
+    // comparison, so the bytecode path has field and constant pushes
     // and a complementable instruction.
     const ExprPtr t = Expr::add(Expr::mul(fld(x), fld(y)), lit(3));
     const ExprPtr u = Expr::add(fld(y), lit(1));
@@ -147,7 +148,6 @@ const Miscompile kAllMiscompiles[] = {
     Miscompile::SwapBinOperands,
     Miscompile::WrongOpcode,
     Miscompile::PoolConstCorrupt,
-    Miscompile::WrongCseMerge,
     Miscompile::StackImbalance,
     Miscompile::FieldIndexCorrupt,
     Miscompile::PresummedCyclesOffByOne,
@@ -409,14 +409,36 @@ TEST(VerifyMode, EnvKnobParsing)
 
 // ---- Golden report fixtures -----------------------------------------
 
-TEST(VerifyReportGolden, CleanShaJson)
+TEST(VerifyReportGolden, CleanBenchmarksAndSlicesJson)
 {
-    const auto acc = accel::makeAccelerator("sha");
-    const CompiledDesign comp(acc->design());
-    const VerifyReport report = verifyCompiledDesign(comp);
+    // Every registry design and its RTL and HLS slices, as one JSON
+    // array: the proof counts, certificates and presummed cycles pin
+    // the compiled tables of all 21 artifacts.
     std::ostringstream os;
-    writeVerifyReportJson(os, acc->design(), report);
-    expectMatchesGolden("verify_sha_clean", os.str());
+    os << "[\n";
+    bool first = true;
+    const auto emit = [&](const Design &design) {
+        const CompiledDesign comp(design);
+        const VerifyReport report = verifyCompiledDesign(comp);
+        if (!first)
+            os << ",\n";
+        first = false;
+        writeVerifyReportJson(os, design, report);
+    };
+    for (const auto &name : accel::benchmarkNames()) {
+        const auto acc = accel::makeAccelerator(name);
+        emit(acc->design());
+        const auto analysis = analyze(acc->design());
+        for (const auto mode : {SliceOptions::Mode::Rtl,
+                                SliceOptions::Mode::Hls}) {
+            SliceOptions options;
+            options.mode = mode;
+            emit(makeSlice(acc->design(), analysis.features, options)
+                     .design);
+        }
+    }
+    os << "]\n";
+    expectMatchesGolden("verify_benchmarks_clean", os.str());
 }
 
 TEST(VerifyReportGolden, MutatedMiniJson)

@@ -28,6 +28,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -218,13 +219,23 @@ struct ClientRun
     /** Each stream's outcomes, in job order. */
     std::vector<std::vector<serve::PredictOutcome>> outcomes;
     std::vector<std::uint64_t> keys;  //!< streamKey() per stream.
+    std::vector<std::uint32_t> handles;  //!< openStream() per stream.
     serve::ClientStats stats;
 };
+
+/** Two streams sharing one handle cannot be told apart on the wire. */
+bool
+distinctHandles(const std::vector<std::uint32_t> &handles)
+{
+    return std::set<std::uint32_t>(handles.begin(), handles.end())
+               .size() == handles.size();
+}
 
 /**
  * Dial a client of @p kind through @p ropts, open @p benches in order,
  * and send jobs[b] on stream b: the sync client one burst per stream
  * on a helper thread, the async client every job before it drains.
+ * If two streams got the same handle, nothing is sent.
  * @p while_queued runs on this thread while the sync bursts run, or
  * once the async client has submitted everything.
  */
@@ -242,6 +253,9 @@ runClient(ClientKind kind, const serve::RetryOptions &ropts,
             std::vector<std::uint32_t> sids;
             for (const std::string &bench : benches)
                 sids.push_back(client.openStream(bench));
+            run.handles = sids;
+            if (!distinctHandles(sids))
+                return;
             for (std::size_t b = 0; b < benches.size(); ++b)
                 run.outcomes[b] =
                     client.predictManyOutcomes(sids[b], jobs[b]);
@@ -259,6 +273,9 @@ runClient(ClientKind kind, const serve::RetryOptions &ropts,
     std::vector<std::uint32_t> sids;
     for (const std::string &bench : benches)
         sids.push_back(client.openStream(bench));
+    run.handles = sids;
+    if (!distinctHandles(sids))
+        return run;
     std::mutex mu;
     std::map<std::uint64_t, serve::PredictOutcome> by_id;
     std::vector<std::vector<std::uint64_t>> ids(benches.size());
@@ -859,6 +876,71 @@ TEST(ServeDistributed, ClientsRemapStreamsAfterStreamIdsChange)
             expectStreamIdentity(first.telemetry(bench));
             expectStreamIdentity(second.telemetry(bench));
         }
+    }
+}
+
+// ---------------------------------------------------------------
+// A stream opened after a renumbering redial: the first server numbers
+// aes 1, the second numbers sha 1 and aes 2. After the redial aes
+// keeps handle 1 (now wire id 2), so sha must not take its wire id 1
+// as a handle too; the two streams need distinct handles that each
+// keep answering for their own benchmark.
+// ---------------------------------------------------------------
+
+TEST(ServeDistributed, StreamOpenedAfterRenumberingRedialGetsFreeHandle)
+{
+    const std::vector<std::string> benches = {"aes", "sha"};
+    std::vector<std::unique_ptr<sim::Experiment>> exps;
+    std::vector<std::vector<rtl::JobInput>> jobs;
+    for (const std::string &bench : benches) {
+        exps.push_back(std::make_unique<sim::Experiment>(
+            bench, sim::ExperimentOptions{}));
+        const auto &test = exps.back()->workload().test;
+        ASSERT_GT(test.size(), 4u);
+        jobs.emplace_back(test.begin(), test.begin() + 4);
+    }
+
+    for (const ClientKind kind : {ClientKind::Sync, ClientKind::Async}) {
+        serve::PredictionServer first;
+        first.registerBenchmark("aes");
+        first.registerBenchmark("sha");
+        serve::PredictionServer second;
+        second.registerBenchmark("sha");
+        second.registerBenchmark("aes");
+
+        // The first dial carries the Hello and aes's OpenStream, then
+        // cuts, so openStream("sha") redials to the second server.
+        auto dials = std::make_shared<std::uint64_t>(0);
+        serve::RetryOptions ropts;
+        ropts.enabled = true;
+        ropts.connect = [&first, &second,
+                         dials]() -> std::unique_ptr<serve::Connection> {
+            if ((*dials)++ == 0)
+                return std::make_unique<SeverAfter>(
+                    first.connectLoopback(), /*writes=*/2);
+            return second.connectLoopback();
+        };
+        const ClientRun run = runClient(kind, ropts, benches, jobs);
+
+        const std::string context = clientName(kind);
+        ASSERT_EQ(run.handles.size(), 2u) << context;
+        if (run.handles[0] == run.handles[1]) {
+            ADD_FAILURE() << context << ": aes and sha share handle "
+                          << run.handles[0];
+            continue;
+        }
+        EXPECT_EQ(run.stats.reconnects, 1u) << context;
+        for (std::size_t b = 0; b < benches.size(); ++b) {
+            const std::string where =
+                context + " " + benches[b] + " opened around a redial";
+            EXPECT_EQ(run.keys[b], second.streamKeyOf(benches[b]))
+                << where;
+            ASSERT_EQ(run.outcomes[b].size(), jobs[b].size()) << where;
+            expectRecords(run.outcomes[b], exps[b]->testPrepared(),
+                          where);
+        }
+        first.stop();
+        second.stop();
     }
 }
 
