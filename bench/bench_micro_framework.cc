@@ -13,7 +13,6 @@
 #include "core/flow.hh"
 #include "opt/lasso.hh"
 #include "rtl/analysis.hh"
-#include "rtl/instrument.hh"
 #include "rtl/interpreter.hh"
 #include "util/logging.hh"
 #include "util/random.hh"
@@ -67,13 +66,12 @@ static void
 BM_InterpretInstrumented(benchmark::State &state)
 {
     auto &s = setup();
-    rtl::Interpreter interp(s.acc->design());
     const auto analysis = rtl::analyze(s.acc->design());
-    rtl::Instrumenter instr(s.acc->design(), analysis.features);
+    rtl::Interpreter interp(s.acc->design(), analysis.features);
+    rtl::FeatureValues values;
     const auto &job = s.work.test.front();
     for (auto _ : state) {
-        instr.reset();
-        benchmark::DoNotOptimize(interp.run(job, &instr).cycles);
+        benchmark::DoNotOptimize(interp.run(job, &values).cycles);
     }
 }
 BENCHMARK(BM_InterpretInstrumented);

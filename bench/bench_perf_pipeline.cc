@@ -142,8 +142,9 @@ struct BenchResult
     double laneOccupancy = 0.0;   //!< Lane-items kept in lockstep.
 
     // Translation validation (rtl/verify): one full static proof of
-    // the compiled artifact, and the per-FSM routability certificates
-    // the batch kernel's routing is cross-checked against.
+    // the compiled full design and of the tapped trained slice, and the
+    // per-FSM routability certificates the batch kernel's routing is
+    // cross-checked against.
     std::vector<rtl::LockstepCertificate> certificates;
     double verifySeconds = 0.0;
     double coldPrepareSeconds = 0.0;
@@ -305,19 +306,25 @@ benchOne(const std::string &name)
     res.mispredictRate = batch_stats.mispredictRate();
     res.laneOccupancy = batch_stats.laneOccupancy();
 
-    // --- verify: one full static proof of the compiled artifact (the
-    // construction hook already ran it once; this times a fresh run),
-    // and the routability certificates cross-checked against the
-    // routing the batch kernel actually used above.
+    // --- verify: one full static proof of the compiled artifacts a
+    // prepare runs — the full design and the trained slice with its
+    // feature taps (the construction hooks already ran them once; this
+    // times a fresh run) — and the routability certificates
+    // cross-checked against the routing the batch kernel actually used
+    // above.
+    const rtl::SliceResult &trained = flow.predictor->slice();
+    const rtl::CompiledDesign slice_comp(trained.design, trained.features);
     rtl::VerifyReport verify;
+    rtl::VerifyReport slice_verify;
     res.verifySeconds = timeBest(3, [&] {
         verify = rtl::verifyCompiledDesign(comp);
+        slice_verify = rtl::verifyCompiledDesign(slice_comp);
     });
-    res.verifyClean = verify.clean();
+    res.verifyClean = verify.clean() && slice_verify.clean();
     if (!res.verifyClean)
         std::cerr << "DIVERGENCE: translation validation found "
-                  << verify.numErrors() << " error(s) on " << name
-                  << "\n";
+                  << verify.numErrors() + slice_verify.numErrors()
+                  << " error(s) on " << name << "\n";
     for (const rtl::LockstepCertificate &cert : verify.certificates) {
         if (cert.staticRouted != comp.fsmLockstep(cert.fsm)) {
             std::cerr << "DIVERGENCE: lockstep certificate for FSM '"

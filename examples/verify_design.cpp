@@ -5,7 +5,11 @@
  * slices) to bytecode and statically prove the compiled artifact
  * equivalent to the source: symbolic root equivalence, bytecode
  * well-formedness with interval-checked division sites, fused-segment
- * audit, and per-FSM lockstep routability certificates.
+ * audit, and per-FSM lockstep routability certificates. Two tapped
+ * artifacts per design follow: the full design with every candidate
+ * feature (what training records) and the trained slice with its
+ * selected features (what a prediction runs); their feature taps are
+ * audited too.
  *
  * Usage:
  *   example_verify_design [benchmark|all] [--json]
@@ -22,12 +26,14 @@
 #include <vector>
 
 #include "accel/registry.hh"
+#include "core/flow.hh"
 #include "rtl/analysis.hh"
 #include "rtl/compile.hh"
 #include "rtl/report.hh"
 #include "rtl/slicer.hh"
 #include "rtl/verify.hh"
 #include "util/logging.hh"
+#include "workload/suite.hh"
 
 using namespace predvfs;
 
@@ -71,11 +77,13 @@ class Printer
     bool first = true;
 };
 
-/** Compile and verify one design; returns its error count. */
+/** Compile and verify one design (with feature taps for @p features);
+ *  returns its error count. */
 std::size_t
-verifyOne(const rtl::Design &design, Printer &out)
+verifyOne(const rtl::Design &design, Printer &out,
+          const std::vector<rtl::FeatureSpec> &features = {})
 {
-    const rtl::CompiledDesign compiled(design);
+    const rtl::CompiledDesign compiled(design, features);
     const rtl::VerifyReport report = rtl::verifyCompiledDesign(compiled);
     out.print(design, report);
     return report.numErrors();
@@ -138,6 +146,12 @@ main(int argc, char **argv)
                                     rtl::SliceOptions::Mode::Rtl, out);
             errors += verifySliceOf(acc->design(),
                                     rtl::SliceOptions::Mode::Hls, out);
+            errors += verifyOne(acc->design(), out,
+                                rtl::analyze(acc->design()).features);
+            const core::FlowResult flow = core::buildPredictor(
+                acc->design(), workload::makeWorkload(*acc).train);
+            const rtl::SliceResult &trained = flow.predictor->slice();
+            errors += verifyOne(trained.design, out, trained.features);
         }
     }
 

@@ -46,7 +46,8 @@ build/examples/example_lint_design all
 stage "translation validation"
 # Statically prove every benchmark's compiled form (typed expression
 # nodes, bytecode, segments and routes; also of its RTL and HLS
-# slices) equivalent to the source design.
+# slices, and the feature taps of the design with every candidate
+# feature and of its trained slice) equivalent to the source design.
 build/examples/example_verify_design all
 
 stage "clang-tidy (if available)"

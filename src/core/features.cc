@@ -1,6 +1,5 @@
 #include "core/features.hh"
 
-#include "rtl/instrument.hh"
 #include "rtl/interpreter.hh"
 #include "util/logging.hh"
 
@@ -14,8 +13,8 @@ collectDataset(const rtl::Design &design,
 {
     util::panicIf(jobs.empty(), "collectDataset: no jobs");
 
-    rtl::Interpreter interp(design);
-    rtl::Instrumenter instr(design, features);
+    rtl::Interpreter interp(design, features);
+    rtl::FeatureValues values;
 
     FeatureDataset ds;
     ds.x = opt::Matrix(jobs.size(), features.size());
@@ -24,9 +23,7 @@ collectDataset(const rtl::Design &design,
     ds.energyUnits.reserve(jobs.size());
 
     for (std::size_t j = 0; j < jobs.size(); ++j) {
-        instr.reset();
-        const rtl::JobResult result = interp.run(jobs[j], &instr);
-        const rtl::FeatureValues &values = instr.values();
+        const rtl::JobResult result = interp.run(jobs[j], &values);
         for (std::size_t c = 0; c < features.size(); ++c)
             ds.x.at(j, c) = values[c];
         ds.y[j] = static_cast<double>(result.cycles);

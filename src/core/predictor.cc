@@ -41,8 +41,7 @@ SlicePredictor::SlicePredictor(rtl::SliceResult slice, opt::Vector beta,
       betaRaw(std::move(beta)),
       interceptRaw(intercept),
       contentFp(contentHash(sliceResult.design, betaRaw, interceptRaw)),
-      sliceInterp(sliceResult.design),
-      sliceInstr(sliceResult.design, sliceResult.features)
+      sliceInterp(sliceResult.design, sliceResult.features)
 {
     util::panicIf(betaRaw.size() != sliceResult.features.size(),
                   "SlicePredictor: coefficient/feature count mismatch (",
@@ -64,27 +63,14 @@ SlicePredictor::predictCycles(const rtl::FeatureValues &values) const
 SliceRun
 SlicePredictor::run(const rtl::JobInput &job) const
 {
-    return runWith(job, sliceInstr);
-}
-
-SliceRun
-SlicePredictor::runWith(const rtl::JobInput &job,
-                        rtl::Instrumenter &instr) const
-{
-    instr.reset();
-    const rtl::JobResult result = sliceInterp.run(job, &instr);
+    rtl::FeatureValues values;
+    const rtl::JobResult result = sliceInterp.run(job, &values);
 
     SliceRun out;
     out.sliceCycles = result.cycles;
     out.sliceEnergyUnits = result.energyUnits;
-    out.predictedCycles = predictCycles(instr.values());
+    out.predictedCycles = predictCycles(values);
     return out;
-}
-
-rtl::Instrumenter
-SlicePredictor::makeInstrumenter() const
-{
-    return rtl::Instrumenter(sliceResult.design, sliceResult.features);
 }
 
 } // namespace core

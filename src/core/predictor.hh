@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "opt/matrix.hh"
-#include "rtl/instrument.hh"
 #include "rtl/interpreter.hh"
 #include "rtl/slicer.hh"
 
@@ -48,20 +47,12 @@ class SlicePredictor
     SlicePredictor(rtl::SliceResult slice, opt::Vector beta,
                    double intercept);
 
-    /** Run the slice on a job's input and predict execution time. */
-    SliceRun run(const rtl::JobInput &job) const;
-
     /**
-     * Like run(), but record into a caller-supplied instrumenter
-     * (reset on entry). The shared member instrumenter is the only
-     * mutable state run() touches, so this is the reentrant entry
-     * point parallel prepare uses with one instrumenter per worker.
+     * Run the slice on a job's input and predict execution time. The
+     * features come from the slice's compiled feature taps; const and
+     * reentrant, so any number of threads may share one predictor.
      */
-    SliceRun runWith(const rtl::JobInput &job,
-                     rtl::Instrumenter &instr) const;
-
-    /** Build an instrumenter for this slice (per-thread scratch). */
-    rtl::Instrumenter makeInstrumenter() const;
+    SliceRun run(const rtl::JobInput &job) const;
 
     /** Predict from an already-recorded feature vector. */
     double predictCycles(const rtl::FeatureValues &values) const;
@@ -91,10 +82,7 @@ class SlicePredictor
     opt::Vector betaRaw;
     double interceptRaw;
     std::uint64_t contentFp;
-    rtl::Interpreter sliceInterp;
-    // Instrumenter is stateful; mutable because run() is logically
-    // const (the accumulators are reset on entry).
-    mutable rtl::Instrumenter sliceInstr;
+    rtl::Interpreter sliceInterp;  //!< Tapped with slice features.
 };
 
 } // namespace core

@@ -55,6 +55,9 @@ struct FeatureSpec
     bool operator==(const FeatureSpec &other) const;
 };
 
+/** A job's feature readout, indexed like the FeatureSpec list. */
+using FeatureValues = std::vector<double>;
+
 /** A state whose latency varies with input but has no counter. */
 struct ImplicitStateInfo
 {

@@ -1,8 +1,11 @@
 #include "rtl/compile.hh"
 
 #include <algorithm>
+#include <cstring>
 #include <map>
+#include <new>
 
+#include "rtl/instrument.hh"
 #include "rtl/verify.hh"
 #include "util/logging.hh"
 #include "util/simd.hh"
@@ -538,6 +541,60 @@ class ExprCompiler
     FieldId maxField = -1;
 };
 
+/**
+ * A zeroed, 64-byte-aligned block handing out arrays of 8-byte
+ * elements, each starting on its own cache line.
+ */
+class LineBlock
+{
+  public:
+    static constexpr std::size_t kLine = 64;
+
+    /** @param units Capacity in 8-byte elements, padding included. */
+    explicit LineBlock(std::size_t units)
+        : bytes(units * 8),
+          base(static_cast<unsigned char *>(::operator new(
+              std::max<std::size_t>(bytes, 1), std::align_val_t{kLine})))
+    {
+        std::memset(base, 0, bytes);
+    }
+
+    ~LineBlock() { ::operator delete(base, std::align_val_t{kLine}); }
+
+    LineBlock(const LineBlock &) = delete;
+    LineBlock &operator=(const LineBlock &) = delete;
+
+    /** The next @p n elements, starting on a fresh cache line. */
+    template <class T>
+    T *
+    take(std::size_t n)
+    {
+        static_assert(sizeof(T) == 8, "LineBlock holds 8-byte elements");
+        T *const p = reinterpret_cast<T *>(base + used);
+        used += (n * 8 + kLine - 1) / kLine * kLine;
+        panicIf(used > bytes, "LineBlock: capacity exceeded");
+        return p;
+    }
+
+  private:
+    std::size_t bytes;
+    unsigned char *base;
+    std::size_t used = 0;
+};
+
+/**
+ * One saturating add of a non-negative value into a tap sum at most a
+ * little above the exactness limit: the value is clamped to the limit
+ * first, so the sum cannot overflow, and a sum that reached the limit
+ * stays at or above it (CompiledDesign::kExactLimit).
+ */
+inline void
+addTap(std::int64_t &sum, std::int64_t d)
+{
+    constexpr std::int64_t lim = CompiledDesign::kExactLimit;
+    sum = std::min(sum + std::min(d, lim), lim);
+}
+
 /** Topological order over startAfter edges (validate() = acyclic). */
 std::vector<FsmId>
 topoSort(const Design &design)
@@ -601,7 +658,8 @@ ExprProgram::eval(const FieldVec &fields) const
                        fields.data(), scratch.data());
 }
 
-CompiledDesign::CompiledDesign(const Design &design)
+CompiledDesign::CompiledDesign(const Design &design,
+                               std::vector<FeatureSpec> features)
     : src(&design)
 {
     panicIf(!design.validated(),
@@ -810,6 +868,7 @@ CompiledDesign::CompiledDesign(const Design &design)
 
     buildSegments();
     buildTraces();
+    buildTaps(std::move(features));
 
     // Speculation is opt-in (speculate()); until then every FSM
     // without a static trace takes the scalar batch fallback.
@@ -994,66 +1053,32 @@ CompiledDesign::buildSpecTraces()
 void
 CompiledDesign::speculate(const JobInput *const *jobs, std::size_t n)
 {
-    // Identify every speculable decision up front so the profile pass
-    // knows which transitions to count.
-    std::vector<StateId> taken_of(states.size(), -1);
-    for (std::size_t id = 0; id < cfsms.size(); ++id) {
-        const CFsm &fsm = cfsms[id];
-        for (std::uint32_t s = 0; s < fsm.numStates; ++s) {
-            const std::uint32_t g = fsm.firstState + s;
+    // One tapped pass over the profile stream counts every edge a
+    // branch-dynamic state takes; per speculable decision head, compare
+    // the taken edge's count with all of the head's edges.
+    specPredict.assign(states.size(), 1);
+    if (n != 0) {
+        std::vector<std::uint64_t> edges(trans.size(), 0);
+        for (std::size_t i = 0; i < n; ++i)
+            runJob<true>(*jobs[i], nullptr, nullptr, &edges);
+        for (std::size_t g = 0; g < states.size(); ++g) {
             std::int32_t guard = -1;
             StateId tk = -1;
             StateId nt = -1;
-            if (deriveDecision(g, guard, tk, nt))
-                taken_of[g] = tk;
-        }
-    }
-
-    // One recorded pass over the profile stream: count, per decision
-    // head, how often the taken edge fired. The recorder sees the
-    // exact transition stream the reference walker emits.
-    struct ProfileRecorder final : Recorder
-    {
-        const CompiledDesign &comp;
-        const std::vector<StateId> &takenOf;
-        std::vector<std::uint64_t> takenCnt;
-        std::vector<std::uint64_t> totalCnt;
-
-        explicit ProfileRecorder(const CompiledDesign &c,
-                                 const std::vector<StateId> &t)
-            : comp(c), takenOf(t), takenCnt(c.states.size(), 0),
-              totalCnt(c.states.size(), 0)
-        {}
-
-        void
-        onTransition(FsmId fsm, StateId src, StateId dst) override
-        {
-            const std::uint32_t g =
-                comp.cfsms[static_cast<std::size_t>(fsm)].firstState +
-                static_cast<std::uint32_t>(src);
-            if (takenOf[g] < 0)
-                return;
-            ++totalCnt[g];
-            if (dst == takenOf[g])
-                ++takenCnt[g];
-        }
-
-        void
-        onCounterArm(CounterId, std::int64_t, std::int64_t) override
-        {}
-    };
-
-    specPredict.assign(states.size(), 1);
-    if (n != 0) {
-        ProfileRecorder rec(*this, taken_of);
-        for (std::size_t i = 0; i < n; ++i)
-            run(*jobs[i], &rec);
-        for (std::size_t g = 0; g < states.size(); ++g) {
-            if (taken_of[g] < 0 || rec.totalCnt[g] == 0)
+            if (!deriveDecision(static_cast<std::uint32_t>(g), guard, tk,
+                                nt))
                 continue;
-            const std::uint64_t taken = rec.takenCnt[g];
-            specPredict[g] =
-                taken * 2 >= rec.totalCnt[g] ? 1 : 0;
+            const CState &st = states[g];
+            std::uint64_t taken = 0;
+            std::uint64_t total = 0;
+            for (std::uint32_t t = 0; t < st.numTrans; ++t) {
+                const std::uint64_t c = edges[st.firstTrans + t];
+                total += c;
+                if (trans[st.firstTrans + t].dst == tk)
+                    taken += c;
+            }
+            if (total != 0)
+                specPredict[g] = taken * 2 >= total ? 1 : 0;
         }
     }
 
@@ -1247,6 +1272,89 @@ CompiledDesign::buildSegments()
     }
 }
 
+void
+CompiledDesign::buildTaps(std::vector<FeatureSpec> specs)
+{
+    // The Instrumenter validates the list (a bad or duplicate spec
+    // panics) and defines which event feeds which feature; the taps
+    // are its updates, evaluated once per slot and transition.
+    const Instrumenter instr(*src, specs);
+    CTaps &tp = taps;
+    tp.specs = std::move(specs);
+    tp.segFirst.assign(segs.size() + 1, 0);
+    tp.stateArm.assign(states.size(), CArmTap{});
+    tp.trans.assign(trans.size(), -1);
+
+    // Per-feature delta of the segment being built. Operands are
+    // non-negative and saturate at kExactLimit like the run-time sums.
+    std::vector<std::int64_t> delta(tp.specs.size(), 0);
+    const auto bump = [&](int f, std::int64_t d) {
+        if (f >= 0 && d > 0)
+            addTap(delta[f], d);
+    };
+
+    for (std::size_t id = 0; id < cfsms.size(); ++id) {
+        const CFsm &fsm = cfsms[id];
+        const FsmId f = static_cast<FsmId>(id);
+        for (std::uint32_t s = 0; s < fsm.numStates; ++s) {
+            const std::uint32_t g = fsm.firstState + s;
+            const CSegment &seg = segs[g];
+            tp.segFirst[g] = static_cast<std::uint32_t>(tp.pool.size());
+            for (std::uint32_t i = 0; i < seg.numSlots; ++i) {
+                const CSlot &sl = slots[seg.firstSlot + i];
+                if (sl.counter >= 0) {
+                    const Instrumenter::CounterSlots &cs =
+                        instr.counterFeatures(sl.counter);
+                    bump(cs.ic, 1);
+                    if (sl.prog < 0) {
+                        bump(cs.siv, sl.armInit);
+                        bump(cs.spv, sl.armFinal);
+                    }
+                }
+                if (sl.dst >= 0)
+                    bump(instr.stcFeature(f, sl.src, sl.dst), 1);
+            }
+            for (std::size_t k = 0; k < delta.size(); ++k) {
+                if (delta[k] == 0)
+                    continue;
+                tp.pool.push_back({delta[k], static_cast<std::int32_t>(k)});
+                delta[k] = 0;
+            }
+            // The range of a dwell-dynamic counter slot is only known
+            // when the run that it closes executes.
+            for (std::uint32_t r = 0; r < seg.numRuns; ++r) {
+                CRun &run = runs[seg.firstRun + r];
+                if (run.dynSlot < 0)
+                    continue;
+                const CSlot &sl = slots[run.dynSlot];
+                if (sl.counter >= 0) {
+                    const Instrumenter::CounterSlots &cs =
+                        instr.counterFeatures(sl.counter);
+                    run.dynTap = sl.down ? cs.siv : cs.spv;
+                }
+            }
+
+            // Branch-dynamic states run outside any segment: their arm
+            // and the edge they take are tapped where they execute.
+            const CState &st = states[g];
+            if (seg.numSlots != 0)
+                continue;
+            if (st.kind == LatencyKind::CounterWait) {
+                const Instrumenter::CounterSlots &cs =
+                    instr.counterFeatures(st.counter);
+                tp.stateArm[g].ic = cs.ic;
+                tp.stateArm[g].value =
+                    st.counterDir == CounterDir::Down ? cs.siv : cs.spv;
+            }
+            for (std::uint32_t t = 0; t < st.numTrans; ++t) {
+                tp.trans[st.firstTrans + t] = instr.stcFeature(
+                    f, static_cast<StateId>(s), trans[st.firstTrans + t].dst);
+            }
+        }
+    }
+    tp.segFirst[segs.size()] = static_cast<std::uint32_t>(tp.pool.size());
+}
+
 std::size_t
 CompiledDesign::numStaticStates() const
 {
@@ -1299,12 +1407,11 @@ CompiledDesign::evalExpr(const CExpr &e, const std::int64_t *fields,
     }
 }
 
-template <bool WithRec>
-std::uint64_t
-CompiledDesign::runFsm(FsmId id, StateId start,
-                       const std::int64_t *fields,
-                       Recorder *recorder, double &energy_units,
-                       std::int64_t *stack) const
+template <bool Tapped>
+[[gnu::always_inline]] inline std::uint64_t
+CompiledDesign::walkFsm(FsmId id, StateId start,
+                        const std::int64_t *fields, double &energy_units,
+                        std::int64_t *stack, const TapCounts *tc) const
 {
     const CFsm &fsm = cfsms[id];
     const CState *base = states.data() + fsm.firstState;
@@ -1320,8 +1427,7 @@ CompiledDesign::runFsm(FsmId id, StateId start,
         const CSegment &seg = sbase[cur];
         if (seg.numSlots) {
             // Precompiled chain: a linear sweep over slots — no guard
-            // search, no latency dispatch, exact FP addend order and
-            // (if anyone listens) the exact event stream.
+            // search, no latency dispatch, exact FP addend order.
             visits += seg.numSlots;
             if (visits > Interpreter::maxVisitsPerItem) {
                 const Fsm &f = src->fsms()[id];
@@ -1329,65 +1435,30 @@ CompiledDesign::runFsm(FsmId id, StateId start,
                       Interpreter::maxVisitsPerItem,
                       " state visits on one item (runaway control loop)");
             }
-            if constexpr (!WithRec) {
-                // Compressed sweep: each static stretch is one cycle
-                // total plus a dense row of energy addends — the same
-                // values in the same order the slot walk (and the
-                // reference walker) would add, so the accumulation is
-                // bit-identical at a fraction of the bookkeeping.
-                const CRun *rp = runs.data() + seg.firstRun;
-                for (std::uint32_t i = 0; i < seg.numRuns; ++i) {
-                    const CRun &r = rp[i];
-                    cycles += r.cycles;
-                    const double *a = addendPool.data() + r.firstAdd;
-                    for (std::uint32_t j = 0; j < r.numAdds; ++j)
-                        energy_units += a[j];
-                    if (r.dynSlot < 0)
-                        continue;
-                    const CSlot &s = spool[r.dynSlot];
-                    const CExpr &pe = programs[s.prog];
-                    std::int64_t v = pe.kind <= CExpr::Kind::BinFC
-                        ? evalLeaf(pe, fields)
-                        : evalExpr(pe, fields, stack);
-                    if (v < 1)
-                        v = 1;
-                    std::uint64_t dwell;
-                    if (s.counter >= 0 && s.armOnly) {
-                        dwell = 1;
-                    } else if (s.counter >= 0 && s.waitScale > 1) {
-                        const std::int64_t scaled = v / s.waitScale;
-                        dwell = static_cast<std::uint64_t>(
-                            scaled < 1 ? 1 : scaled);
-                    } else {
-                        dwell = static_cast<std::uint64_t>(v);
-                    }
-                    cycles += dwell;
-                    energy_units +=
-                        s.energy * static_cast<double>(dwell);
-                }
-                if (seg.next < 0)
-                    break;
-                cur = seg.next;
-                continue;
+            // The chain's transitions and static arms are the same on
+            // every visit: count the visit, and runJob() adds the
+            // segment's merged deltas once per job.
+            if constexpr (Tapped) {
+                ++tc->segVisits[fsm.firstState +
+                                static_cast<std::uint32_t>(cur)];
             }
-
-            const CSlot *sl = spool + seg.firstSlot;
-            for (std::uint32_t i = 0; i < seg.numSlots; ++i) {
-                const CSlot &s = sl[i];
-                if (s.prog < 0) {
-                    cycles += s.cycles;
-                    energy_units += s.energy;
-                    if constexpr (WithRec) {
-                        if (s.counter >= 0)
-                            recorder->onCounterArm(s.counter, s.armInit,
-                                                   s.armFinal);
-                        if (s.dst >= 0)
-                            recorder->onTransition(id, s.src, s.dst);
-                    }
+            // Compressed sweep: each static stretch is one cycle total
+            // plus a dense row of energy addends — the same values in
+            // the same order the reference walker would add, so the
+            // accumulation is bit-identical at a fraction of the
+            // bookkeeping.
+            const CRun *rp = runs.data() + seg.firstRun;
+            for (std::uint32_t i = 0; i < seg.numRuns; ++i) {
+                const CRun &r = rp[i];
+                cycles += r.cycles;
+                const double *a = addendPool.data() + r.firstAdd;
+                for (std::uint32_t j = 0; j < r.numAdds; ++j)
+                    energy_units += a[j];
+                if (r.dynSlot < 0)
                     continue;
-                }
                 // Dwell-dynamic slot: same evaluation and clamping as
                 // the interpreted path below.
+                const CSlot &s = spool[r.dynSlot];
                 const CExpr &pe = programs[s.prog];
                 std::int64_t v = pe.kind <= CExpr::Kind::BinFC
                     ? evalLeaf(pe, fields)
@@ -1395,29 +1466,20 @@ CompiledDesign::runFsm(FsmId id, StateId start,
                 if (v < 1)
                     v = 1;
                 std::uint64_t dwell;
-                if (s.counter >= 0) {
-                    if (s.armOnly) {
-                        dwell = 1;
-                    } else if (s.waitScale > 1) {
-                        const std::int64_t scaled = v / s.waitScale;
-                        dwell = static_cast<std::uint64_t>(
-                            scaled < 1 ? 1 : scaled);
-                    } else {
-                        dwell = static_cast<std::uint64_t>(v);
-                    }
-                    if constexpr (WithRec) {
-                        recorder->onCounterArm(s.counter,
-                                               s.down ? v : 0,
-                                               s.down ? 0 : v);
-                    }
+                if (s.counter >= 0 && s.armOnly) {
+                    dwell = 1;
+                } else if (s.counter >= 0 && s.waitScale > 1) {
+                    const std::int64_t scaled = v / s.waitScale;
+                    dwell = static_cast<std::uint64_t>(
+                        scaled < 1 ? 1 : scaled);
                 } else {
                     dwell = static_cast<std::uint64_t>(v);
                 }
                 cycles += dwell;
                 energy_units += s.energy * static_cast<double>(dwell);
-                if constexpr (WithRec) {
-                    if (s.dst >= 0)
-                        recorder->onTransition(id, s.src, s.dst);
+                if constexpr (Tapped) {
+                    if (r.dynTap >= 0)
+                        addTap(tc->values[r.dynTap], v);
                 }
             }
             if (seg.next < 0)
@@ -1455,11 +1517,11 @@ CompiledDesign::runFsm(FsmId id, StateId start,
             } else {
                 dwell = static_cast<std::uint64_t>(range);
             }
-            if constexpr (WithRec) {
-                if (st.counterDir == CounterDir::Down)
-                    recorder->onCounterArm(st.counter, range, 0);
-                else
-                    recorder->onCounterArm(st.counter, 0, range);
+            if constexpr (Tapped) {
+                const std::int32_t f = taps.stateArm[
+                    fsm.firstState + static_cast<std::uint32_t>(cur)].value;
+                if (f >= 0)
+                    addTap(tc->values[f], range);
             }
         } else {
             const CExpr &pe = programs[st.prog];
@@ -1479,7 +1541,8 @@ CompiledDesign::runFsm(FsmId id, StateId start,
 
         StateId next = -1;
         const CTransition *tr = tbase + st.firstTrans;
-        for (std::uint32_t i = 0; i < st.numTrans; ++i) {
+        std::uint32_t i = 0;
+        for (; i < st.numTrans; ++i) {
             if (tr[i].guard < 0) {
                 next = tr[i].dst;
                 break;
@@ -1499,18 +1562,28 @@ CompiledDesign::runFsm(FsmId id, StateId start,
                   "': no transition fired");
         }
 
-        if constexpr (WithRec)
-            recorder->onTransition(id, cur, next);
+        if constexpr (Tapped)
+            ++tc->edgeVisits[st.firstTrans + i];
         cur = next;
     }
 
     return cycles;
 }
 
-template <bool WithRec>
+std::uint64_t
+CompiledDesign::runFsm(FsmId id, StateId start,
+                       const std::int64_t *fields, double &energy_units,
+                       std::int64_t *stack) const
+{
+    return walkFsm<false>(id, start, fields, energy_units, stack, nullptr);
+}
+
+template <bool Tapped>
 JobResult
-CompiledDesign::runJob(const JobInput &job, Recorder *recorder,
-                       std::vector<std::uint64_t> *item_cycles) const
+CompiledDesign::runJob(const JobInput &job,
+                       std::vector<std::uint64_t> *item_cycles,
+                       FeatureValues *features,
+                       std::vector<std::uint64_t> *edge_totals) const
 {
     JobResult result;
     result.cycles = jobOverhead;
@@ -1521,9 +1594,19 @@ CompiledDesign::runJob(const JobInput &job, Recorder *recorder,
         item_cycles->reserve(job.items.size());
     }
 
-    // One allocation per job, reused by every program evaluation; the
-    // per-item and per-state paths below are allocation-free.
-    std::vector<std::int64_t> stack(maxStack);
+    // One allocation per job for every program evaluation's stack and
+    // a tapped run's counters; the per-item and per-state paths below
+    // are allocation-free.
+    const std::size_t num_feat = Tapped ? taps.specs.size() : 0;
+    const std::size_t num_states = Tapped ? states.size() : 0;
+    const std::size_t num_trans = Tapped ? trans.size() : 0;
+    std::vector<std::int64_t> scratch(
+        maxStack + num_feat + num_states + num_trans, 0);
+    std::int64_t *stack = scratch.data();
+    TapCounts tc;
+    tc.values = stack + maxStack;
+    tc.segVisits = tc.values + num_feat;
+    tc.edgeVisits = tc.segVisits + num_states;
     std::vector<std::uint64_t> end_time(cfsms.size(), 0);
 
     for (const WorkItem &item : job.items) {
@@ -1539,10 +1622,15 @@ CompiledDesign::runJob(const JobInput &job, Recorder *recorder,
         for (FsmId id : order) {
             const FsmId dep = cfsms[id].startAfter;
             const std::uint64_t start = dep < 0 ? 0 : end_time[dep];
-            const std::uint64_t lat =
-                runFsm<WithRec>(id, cfsms[id].initial,
-                                item.fields.data(), recorder,
-                                result.energyUnits, stack.data());
+            std::uint64_t lat;
+            if constexpr (Tapped) {
+                lat = walkFsm<true>(id, cfsms[id].initial,
+                                    item.fields.data(), result.energyUnits,
+                                    stack, &tc);
+            } else {
+                lat = runFsm(id, cfsms[id].initial, item.fields.data(),
+                             result.energyUnits, stack);
+            }
             end_time[id] = start + lat;
             item_latency = std::max(item_latency, end_time[id]);
         }
@@ -1552,15 +1640,75 @@ CompiledDesign::runJob(const JobInput &job, Recorder *recorder,
             item_cycles->push_back(item_latency);
     }
 
+    if constexpr (Tapped) {
+        if (edge_totals) {
+            for (std::size_t t = 0; t < num_trans; ++t)
+                (*edge_totals)[t] +=
+                    static_cast<std::uint64_t>(tc.edgeVisits[t]);
+        }
+        if (features)
+            readFeatures(job, tc, *features);
+    }
     return result;
 }
 
+void
+CompiledDesign::readFeatures(const JobInput &job, const TapCounts &tc,
+                             FeatureValues &out) const
+{
+    // Fold the counts into the sums the hot loops left in tc.values:
+    // each visited segment's deltas times its entries, each
+    // branch-dynamic edge into its STC feature and its state's IC. A
+    // count is at most the number of visits made, far below 2^63, and
+    // every addend saturates at the limit, so nothing overflows.
+    std::int64_t *acc = tc.values;
+    const std::int64_t lim = kExactLimit;
+    for (std::size_t g = 0; g < states.size(); ++g) {
+        const std::int64_t visits = tc.segVisits[g];
+        if (visits != 0) {
+            for (std::uint32_t k = taps.segFirst[g];
+                 k < taps.segFirst[g + 1]; ++k) {
+                const CTap &t = taps.pool[k];
+                addTap(acc[t.feature],
+                       visits > lim / t.delta ? lim : visits * t.delta);
+            }
+        }
+        const CState &st = states[g];
+        std::int64_t taken = 0;
+        for (std::uint32_t e = 0; e < st.numTrans; ++e) {
+            const std::int64_t n = tc.edgeVisits[st.firstTrans + e];
+            taken += n;
+            if (taps.trans[st.firstTrans + e] >= 0)
+                addTap(acc[taps.trans[st.firstTrans + e]], n);
+        }
+        if (taps.stateArm[g].ic >= 0)
+            addTap(acc[taps.stateArm[g].ic], taken);
+    }
+
+    // Below 2^53 every partial sum of the Instrumenter's double
+    // additions is an exact integer, so the readout matches it bit for
+    // bit. A sum that reached the limit may have rounded there:
+    // recompute the features on the oracle.
+    const std::size_t num_feat = taps.specs.size();
+    out.resize(num_feat);
+    bool exact = true;
+    for (std::size_t k = 0; k < num_feat; ++k) {
+        exact &= acc[k] < lim;
+        out[k] = static_cast<double>(acc[k]);
+    }
+    if (!exact) {
+        Instrumenter instr(*src, taps.specs);
+        walkReference(*src, order, job, &instr, nullptr);
+        out = instr.values();
+    }
+}
+
 JobResult
-CompiledDesign::run(const JobInput &job, Recorder *recorder,
+CompiledDesign::run(const JobInput &job, FeatureValues *features,
                     std::vector<std::uint64_t> *item_cycles) const
 {
-    return recorder ? runJob<true>(job, recorder, item_cycles)
-                    : runJob<false>(job, nullptr, item_cycles);
+    return features ? runJob<true>(job, item_cycles, features, nullptr)
+                    : runJob<false>(job, item_cycles, nullptr, nullptr);
 }
 
 void
@@ -1579,10 +1727,29 @@ CompiledDesign::runBatch(const JobInput *const *jobs, std::size_t n,
         ? 0
         : static_cast<std::size_t>(maxFieldRead) + 1;
 
+    // The per-call arrays, carved from one 64-byte-aligned block with
+    // every array on its own cache line, so the kernel's speed does not
+    // depend on where the heap happens to place them. Sized for ten
+    // lane arrays, the field transpose, the per-FSM end times and the
+    // program stack, plus up to one line of padding per array.
+    LineBlock block((10 + nf + num_fsms) * n + maxStack + 12 * 8);
     // One running energy accumulator per lane: a lane's additions
     // happen in exactly run()'s order, so lockstep across lanes never
     // reassociates any job's floating-point sum.
-    std::vector<double> energy(n);
+    double *const energy = block.take<double>(n);
+    std::int64_t *const stack = block.take<std::int64_t>(maxStack);
+    std::size_t *const active = block.take<std::size_t>(n);
+    const std::int64_t **const fptr = block.take<const std::int64_t *>(n);
+    std::int64_t *const fieldsT = block.take<std::int64_t>(nf * n);
+    std::int64_t *const v = block.take<std::int64_t>(n);
+    std::int64_t *const u = block.take<std::int64_t>(n);  //!< Bin2 lhs.
+    //! Lanes still speculating.
+    std::size_t *const spec = block.take<std::size_t>(n);
+    std::uint64_t *const lat = block.take<std::uint64_t>(n);
+    double *const estep = block.take<double>(n);
+    std::uint64_t *const end_time = block.take<std::uint64_t>(num_fsms * n);
+    std::uint64_t *const item_lat = block.take<std::uint64_t>(n);
+
     std::size_t max_items = 0;
     for (std::size_t l = 0; l < n; ++l) {
         out[l].cycles = jobOverhead;
@@ -1590,20 +1757,6 @@ CompiledDesign::runBatch(const JobInput *const *jobs, std::size_t n,
         energy[l] = ctrlEnergy * static_cast<double>(jobOverhead);
         max_items = std::max(max_items, jobs[l]->items.size());
     }
-
-    std::vector<std::int64_t> scratch(maxStack);
-    std::int64_t *stack = scratch.data();
-
-    std::vector<std::size_t> active(n);
-    std::vector<const std::int64_t *> fptr(n);
-    std::vector<std::int64_t> fieldsT(nf * n);
-    std::vector<std::int64_t> v(n);
-    std::vector<std::int64_t> u(n);   //!< Superinstruction operand.
-    std::vector<std::size_t> spec(n); //!< Still-speculating lane set.
-    std::vector<std::uint64_t> lat(n);
-    std::vector<double> estep(n);
-    std::vector<std::uint64_t> end_time(num_fsms * n);
-    std::vector<std::uint64_t> item_lat(n);
 
     namespace simd = util::simd;
 
@@ -1618,7 +1771,7 @@ CompiledDesign::runBatch(const JobInput *const *jobs, std::size_t n,
             break;
           case CExpr::Kind::Field: {
             const std::int64_t *F =
-                fieldsT.data() + static_cast<std::size_t>(pe.field) * A;
+                fieldsT + static_cast<std::size_t>(pe.field) * A;
             std::copy(F, F + A, dst);
             break;
           }
@@ -1627,7 +1780,7 @@ CompiledDesign::runBatch(const JobInput *const *jobs, std::size_t n,
             const CTerm *terms = affinePool.data() + pe.first;
             for (std::uint32_t i = 0; i < pe.count; ++i) {
                 const CTerm &m = terms[i];
-                const std::int64_t *F = fieldsT.data() +
+                const std::int64_t *F = fieldsT +
                     static_cast<std::size_t>(m.field) * A;
                 switch (m.kind) {
                   case CTerm::Kind::Linear:
@@ -1655,7 +1808,7 @@ CompiledDesign::runBatch(const JobInput *const *jobs, std::size_t n,
           }
           default: {  // BinFC; callers never pass recursive kinds.
             const std::int64_t *F =
-                fieldsT.data() + static_cast<std::size_t>(pe.field) * A;
+                fieldsT + static_cast<std::size_t>(pe.field) * A;
             for (std::size_t j = 0; j < A; ++j)
                 dst[j] = applyBOp(pe.op, F[j], pe.imm);
             break;
@@ -1674,14 +1827,14 @@ CompiledDesign::runBatch(const JobInput *const *jobs, std::size_t n,
     const auto evalLanes = [&](const CExpr &pe, std::size_t A)
         PREDVFS_NOINLINE {
         if (pe.kind <= CExpr::Kind::BinFC) {
-            evalLeafLanes(pe, A, v.data());
+            evalLeafLanes(pe, A, v);
             return;
         }
         if (pe.kind == CExpr::Kind::Bin2 &&
             programs[pe.a].kind <= CExpr::Kind::BinFC &&
             programs[pe.b].kind <= CExpr::Kind::BinFC) {
-            evalLeafLanes(programs[pe.a], A, u.data());
-            evalLeafLanes(programs[pe.b], A, v.data());
+            evalLeafLanes(programs[pe.a], A, u);
+            evalLeafLanes(programs[pe.b], A, v);
             for (std::size_t j = 0; j < A; ++j)
                 v[j] = applyBOp(pe.op, u[j], v[j]);
             return;
@@ -1745,14 +1898,14 @@ CompiledDesign::runBatch(const JobInput *const *jobs, std::size_t n,
             for (std::size_t k = 0; k < nf; ++k)
                 fieldsT[k * A + j] = f[k];
         }
-        std::fill(item_lat.begin(), item_lat.begin() + A, 0);
+        std::fill(item_lat, item_lat + A, 0);
 
         for (FsmId id : order) {
             const CFsm &fsm = cfsms[id];
             const CTrace &tr = traces[id];
             const CSpecTrace &st_spec = specTraces[id];
             if (tr.valid) {
-                simd::fillU64(lat.data(), A, tr.staticCycles);
+                simd::fillU64(lat, A, tr.staticCycles);
                 const std::uint32_t *ts = traceStates.data() + tr.first;
                 for (std::uint32_t k = 0; k < tr.count; ++k) {
                     const CSegment &seg = segs[ts[k]];
@@ -1761,7 +1914,7 @@ CompiledDesign::runBatch(const JobInput *const *jobs, std::size_t n,
                         const CRun &r = rp[i];
                         const double *a = addendPool.data() + r.firstAdd;
                         for (std::uint32_t q = 0; q < r.numAdds; ++q)
-                            simd::addScalarF64(estep.data(), A, a[q]);
+                            simd::addScalarF64(estep, A, a[q]);
                         if (r.dynSlot < 0)
                             continue;
                         const CSlot &s = slots[r.dynSlot];
@@ -1783,7 +1936,7 @@ CompiledDesign::runBatch(const JobInput *const *jobs, std::size_t n,
                 bool dense = true;
                 for (std::size_t j = 0; j < A; ++j)
                     spec[j] = j;
-                simd::fillU64(lat.data(), A, 0);
+                simd::fillU64(lat, A, 0);
                 const CSpecNode *nodes = specNodes.data() + st_spec.first;
                 for (std::uint32_t k = 0; k < st_spec.count && S != 0;
                      ++k) {
@@ -1791,7 +1944,7 @@ CompiledDesign::runBatch(const JobInput *const *jobs, std::size_t n,
                     if (!nd.branch) {
                         const CSegment &seg = segs[nd.g];
                         if (dense) {
-                            simd::addScalarU64(lat.data(), S, nd.cycles);
+                            simd::addScalarU64(lat, S, nd.cycles);
                         } else {
                             for (std::size_t q = 0; q < S; ++q)
                                 lat[spec[q]] += nd.cycles;
@@ -1804,7 +1957,7 @@ CompiledDesign::runBatch(const JobInput *const *jobs, std::size_t n,
                             if (dense) {
                                 for (std::uint32_t q = 0; q < r.numAdds;
                                      ++q)
-                                    simd::addScalarF64(estep.data(), S,
+                                    simd::addScalarF64(estep, S,
                                                        a[q]);
                             } else {
                                 for (std::uint32_t p = 0; p < r.numAdds;
@@ -1855,8 +2008,8 @@ CompiledDesign::runBatch(const JobInput *const *jobs, std::size_t n,
                         const double add_e = hs.energyPerCycle *
                             static_cast<double>(dw);
                         if (dense) {
-                            simd::addScalarU64(lat.data(), S, dw);
-                            simd::addScalarF64(estep.data(), S, add_e);
+                            simd::addScalarU64(lat, S, dw);
+                            simd::addScalarF64(estep, S, add_e);
                         } else {
                             for (std::size_t q = 0; q < S; ++q) {
                                 lat[spec[q]] += dw;
@@ -1906,9 +2059,8 @@ CompiledDesign::runBatch(const JobInput *const *jobs, std::size_t n,
                         }
                         const StateId actual =
                             taken ? nd.takenDst : nd.notDst;
-                        lat[j] += runFsm<false>(id, actual, fptr[j],
-                                                nullptr, estep[j],
-                                                stack);
+                        lat[j] += runFsm(id, actual, fptr[j],
+                                         estep[j], stack);
                         if (stats)
                             ++stats->fsms[id].mispredicts;
                     }
@@ -1923,18 +2075,18 @@ CompiledDesign::runBatch(const JobInput *const *jobs, std::size_t n,
                 }
             } else {
                 for (std::size_t j = 0; j < A; ++j)
-                    lat[j] = runFsm<false>(id, fsm.initial, fptr[j],
-                                           nullptr, estep[j], stack);
+                    lat[j] = runFsm(id, fsm.initial, fptr[j], estep[j],
+                                    stack);
                 if (stats)
                     stats->fsms[id].scalarLaneItems += A;
             }
 
             const FsmId dep = fsm.startAfter;
             std::uint64_t *et =
-                end_time.data() + static_cast<std::size_t>(id) * n;
+                end_time + static_cast<std::size_t>(id) * n;
             const std::uint64_t *ds = dep < 0
                 ? nullptr
-                : end_time.data() + static_cast<std::size_t>(dep) * n;
+                : end_time + static_cast<std::size_t>(dep) * n;
             for (std::size_t j = 0; j < A; ++j) {
                 const std::uint64_t e = (ds ? ds[j] : 0) + lat[j];
                 et[j] = e;

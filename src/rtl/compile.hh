@@ -41,11 +41,29 @@
  * field-against-constant and shallow binary expressions are
  * specialised past the bytecode dispatch loop entirely (CExpr below).
  * run() is a drop-in replacement
- * for the tree-walking interpreter: same cycle counts, bit-identical
+ * for the tree-walking interpreter: same cycle counts and bit-identical
  * energy accumulation (the floating-point operation sequence is
- * preserved), and identical Recorder callbacks. It is const and
- * reentrant — scratch space lives on the run() stack — so one
- * CompiledDesign can serve any number of threads.
+ * preserved). It is const and reentrant — scratch space lives on the
+ * run() stack — so one CompiledDesign can serve any number of threads.
+ *
+ * A CompiledDesign built with a feature list also carries *feature
+ * taps*: the Instrumenter's STC/IC/SIV/SPV updates (rtl/instrument.hh)
+ * lowered to data on the same tables. Each segment carries the merged
+ * integer deltas of every transition and static counter arm its chain
+ * makes; each compressed run closed by a dwell-dynamic counter slot
+ * names the feature that slot's clamped range feeds; each transition
+ * out of a branch-dynamic state names its STC feature. A tapped run()
+ * takes the same compressed path as an untapped one and only counts —
+ * segments entered, branch-dynamic edges taken, dynamic ranges summed
+ * — then folds the counts into int64 sums once per job and reads them
+ * out as the doubles an Instrumenter records on the reference walker.
+ * Every operand is a non-negative integer, so the partial sums rise
+ * monotonically; while the final sum stays below 2^53 every partial
+ * sum of the Instrumenter's double additions is an exact integer and
+ * the two agree bit for bit, in any order. The sums saturate at 2^53,
+ * and a job that reaches it is recomputed on the reference walker with
+ * an Instrumenter. Only that oracle (Interpreter::runReference) takes
+ * a Recorder.
  */
 
 #ifndef PREDVFS_RTL_COMPILE_HH
@@ -56,6 +74,7 @@
 #include <string>
 #include <vector>
 
+#include "rtl/analysis.hh"
 #include "rtl/interpreter.hh"
 #include "util/logging.hh"
 
@@ -209,15 +228,22 @@ std::string injectMiscompile(CompiledDesign &comp, Miscompile kind,
 /**
  * A whole Design lowered to bytecode. Construction compiles every
  * guard, counter range, and implicit latency, computes the FSM
- * topological order, and precomputes per-state energy rates; the
- * result is immutable and safe to share between interpreters, engines,
- * and threads. The referenced Design must outlive the CompiledDesign.
+ * topological order, precomputes per-state energy rates, and lowers
+ * the feature list to taps; the result is immutable and safe to share
+ * between interpreters, engines, and threads. The referenced Design
+ * must outlive the CompiledDesign.
  */
 class CompiledDesign
 {
   public:
-    /** @param design Must be validated; panics otherwise. */
-    explicit CompiledDesign(const Design &design);
+    /**
+     * @param design   Must be validated; panics otherwise.
+     * @param features Features run() can read out; validated like an
+     *                 Instrumenter's (panics on a bad or duplicate
+     *                 spec).
+     */
+    explicit CompiledDesign(const Design &design,
+                            std::vector<FeatureSpec> features = {});
 
     /** @return the design this was compiled from. */
     const Design &design() const { return *src; }
@@ -226,15 +252,26 @@ class CompiledDesign
     const std::vector<FsmId> &topoOrder() const { return order; }
 
     /**
-     * Execute one job — the drop-in replacement for the tree-walking
-     * Interpreter::run() with identical results and Recorder events.
+     * Feature sums saturate at 2^53; a job whose sum reaches it reads
+     * its features from the reference walker instead.
      */
-    JobResult run(const JobInput &job, Recorder *recorder = nullptr,
+    static constexpr std::int64_t kExactLimit = std::int64_t{1} << 53;
+
+    /** Features the taps record, in readout order. */
+    const std::vector<FeatureSpec> &features() const { return taps.specs; }
+
+    /**
+     * Execute one job — the drop-in replacement for the tree walker
+     * (Interpreter::runReference) with identical results. With
+     * @p features, also read out one value per features() entry: the
+     * same doubles an Instrumenter records on the tree walker.
+     */
+    JobResult run(const JobInput &job, FeatureValues *features = nullptr,
                   std::vector<std::uint64_t> *item_cycles = nullptr) const;
 
     /**
-     * Execute @p n jobs in lockstep — the batched (recorder-free)
-     * counterpart of run() with bit-identical results per job.
+     * Execute @p n jobs in lockstep — the batched counterpart of run()
+     * (without feature readout) with bit-identical results per job.
      *
      * Jobs are lanes: at item step t, every lane still holding an
      * item marches through the design together. FSMs whose whole walk
@@ -270,7 +307,7 @@ class CompiledDesign
     /**
      * Build speculative lockstep routes for branch-dynamic FSMs.
      *
-     * Profiles @p jobs (one recorded pass — typically a slice of the
+     * Profiles @p jobs (one tapped pass — typically a slice of the
      * training stream) to find the hot successor of every two-way
      * branch-dynamic state head, then precomputes, per FSM, the walk
      * the design takes when every such branch goes the predicted way.
@@ -467,8 +504,9 @@ class CompiledDesign
      * carry their dwell and the exact energy addend the reference
      * walker would compute on this visit; dwell-dynamic slots carry
      * the latency/range program with its clamping metadata and the
-     * state's energy rate. Arm and transition event operands are
-     * precomputed so a Recorder sees the identical stream.
+     * state's energy rate. The visit's transition and static arm
+     * operands are kept so the feature taps (and the validator) can
+     * derive the events the reference walker reports.
      */
     struct CSlot
     {
@@ -487,7 +525,7 @@ class CompiledDesign
 
     /**
      * A maximal stretch of consecutive *static* slots in a chain,
-     * compressed for the recorder-free path: the dwell total is
+     * compressed for execution: the dwell total is
      * precomputed and the per-visit energy addends live contiguously
      * in `addendPool` (same values, same order as the slot walk, so
      * summing them one by one stays bit-exact). `dynSlot`, when >= 0,
@@ -499,6 +537,9 @@ class CompiledDesign
         std::uint32_t firstAdd = 0;
         std::uint32_t numAdds = 0;
         std::int32_t dynSlot = -1;
+        //! Tap: the feature the dynamic slot's clamped range feeds (SIV
+        //! of a down-counter, SPV of an up-counter), -1 if none.
+        std::int32_t dynTap = -1;
     };
 
     /**
@@ -506,8 +547,8 @@ class CompiledDesign
      * pool plus the state where interpretation resumes (-1: the chain
      * ends in a terminal state). `numSlots == 0` marks a branch-dynamic
      * head whose successor depends on the item's fields. The run slice
-     * is the compressed form of the same chain for recorder-free
-     * execution.
+     * is the compressed form of the same chain that run() and
+     * runBatch() execute.
      */
     struct CSegment
     {
@@ -610,6 +651,56 @@ class CompiledDesign
         bool valid = false;
     };
 
+    /** One integer feature update: acc[feature] += delta. */
+    struct CTap
+    {
+        std::int64_t delta = 0;
+        std::int32_t feature = -1;
+    };
+
+    /** Features a branch-dynamic counter-wait state's arm feeds. */
+    struct CArmTap
+    {
+        std::int32_t ic = -1;     //!< += 1 per visit (= edges taken).
+        std::int32_t value = -1;  //!< += clamped range (SIV of a down-
+                                  //!< counter, SPV of an up-counter).
+    };
+
+    /**
+     * The feature taps of the construction-time feature list (see the
+     * file comment), next to CRun::dynTap. Built from the slots and
+     * transitions at construction, never serialised. A segment's slots
+     * always execute together, so its static deltas are merged per
+     * feature into one span of `pool`.
+     */
+    struct CTaps
+    {
+        std::vector<FeatureSpec> specs;
+        //! Per segment g: pool[segFirst[g], segFirst[g + 1]).
+        std::vector<std::uint32_t> segFirst;
+        std::vector<CTap> pool;
+        //! Per state: a branch-dynamic counter-wait state's arm taps.
+        std::vector<CArmTap> stateArm;
+        //! Per transition: the STC feature a branch-dynamic edge feeds.
+        std::vector<std::int32_t> trans;
+    };
+
+    /**
+     * A tapped run's per-job counters. The hot loops only count: each
+     * segment entered, each branch-dynamic edge taken, and the sums of
+     * dynamic counter ranges a feature records; runJob() folds the
+     * counts into the features once per job.
+     */
+    struct TapCounts
+    {
+        std::int64_t *values;      //!< Per feature: dynamic range sums.
+        std::int64_t *segVisits;   //!< Per state: segment entries.
+        std::int64_t *edgeVisits;  //!< Per transition: edges taken.
+    };
+
+    /** Lower @p specs to `taps` and CRun::dynTap. */
+    void buildTaps(std::vector<FeatureSpec> specs);
+
     bool staticDwell(const CState &st, std::uint64_t &dwell,
                      std::int64_t &range) const;
     StateId staticNext(const CState &st) const;
@@ -633,18 +724,39 @@ class CompiledDesign
      * Execute one FSM for one item, starting at local state @p start
      * (fsm.initial for a full walk; a mispredicted branch's actual
      * successor when the batch kernel demotes a lane). Compiled once
-     * per recorder presence: the `WithRec == false` instantiation
-     * carries no event branches at all in the per-visit loops.
+     * per tap presence: the `Tapped == false` instantiation carries no
+     * tap code at all in the per-visit loops; the tapped one counts
+     * into @p tc. The tapped walk is inlined into runJob()'s item loop
+     * (called out of line it read 7-9% slower than the untapped walk
+     * with its counting compiled out); the untapped walk is runFsm(),
+     * out of line as before, which the batch kernel's scalar lanes
+     * call too.
      */
-    template <bool WithRec>
+    template <bool Tapped>
+    std::uint64_t walkFsm(FsmId id, StateId start,
+                          const std::int64_t *fields, double &energy_units,
+                          std::int64_t *stack, const TapCounts *tc) const;
+
+    /** walkFsm<false>() out of line, for runBatch(). */
     std::uint64_t runFsm(FsmId id, StateId start,
-                         const std::int64_t *fields,
-                         Recorder *recorder, double &energy_units,
+                         const std::int64_t *fields, double &energy_units,
                          std::int64_t *stack) const;
 
-    template <bool WithRec>
-    JobResult runJob(const JobInput &job, Recorder *recorder,
-                     std::vector<std::uint64_t> *item_cycles) const;
+    /**
+     * run(), tapped or not. A tapped run reads the features out into
+     * @p features and, when @p edge_totals is given, adds its per-
+     * transition edge counts to it (speculate()'s profile).
+     */
+    template <bool Tapped>
+    JobResult runJob(const JobInput &job,
+                     std::vector<std::uint64_t> *item_cycles,
+                     FeatureValues *features,
+                     std::vector<std::uint64_t> *edge_totals) const;
+
+    /** Fold a tapped run of @p job's counts into @p out, falling back
+     *  to the reference walker at the exactness limit. */
+    void readFeatures(const JobInput &job, const TapCounts &tc,
+                      FeatureValues &out) const;
 
     const Design *src;
     std::vector<FsmId> order;
@@ -671,6 +783,7 @@ class CompiledDesign
     FieldId maxFieldRead = -1;
     std::uint64_t jobOverhead = 0;
     double ctrlEnergy = 0.0;
+    CTaps taps;
 };
 
 } // namespace rtl

@@ -87,10 +87,7 @@ Instrumenter::areaUnits() const
 void
 Instrumenter::onTransition(FsmId fsm, StateId src, StateId dst)
 {
-    const StcTable &t = stcTables[fsm];
-    const std::int32_t idx = stcFlat[
-        t.offset + static_cast<std::uint32_t>(src) * t.states +
-        static_cast<std::uint32_t>(dst)];
+    const int idx = stcFeature(fsm, src, dst);
     if (idx >= 0)
         accumulators[idx] += 1.0;
 }

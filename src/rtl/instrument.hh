@@ -4,9 +4,12 @@
  * flow adds to an accelerator's RTL (Section 3.3).
  *
  * An Instrumenter is constructed for a design and a feature list and
- * plugged into the Interpreter as a Recorder. After a job runs, the
- * feature vector can be read out, exactly like reading the added
- * registers after a job in real hardware.
+ * plugged into the reference tree walker (Interpreter::runReference)
+ * as a Recorder. After a job runs, the feature vector can be read out,
+ * exactly like reading the added registers after a job in real
+ * hardware. The compiled path records the same features without a
+ * Recorder: CompiledDesign lowers these updates into feature taps on
+ * its tables (rtl/compile.hh), using the lookups below.
  */
 
 #ifndef PREDVFS_RTL_INSTRUMENT_HH
@@ -20,9 +23,6 @@
 
 namespace predvfs {
 namespace rtl {
-
-/** A job's feature readout, indexed like the FeatureSpec list. */
-using FeatureValues = std::vector<double>;
 
 /**
  * Accumulates feature values while a job executes.
@@ -58,6 +58,31 @@ class Instrumenter : public Recorder
      */
     double areaUnits() const;
 
+    /** Features one counter arm feeds (-1 where none). */
+    struct CounterSlots
+    {
+        int ic = -1;
+        int siv = -1;
+        int spv = -1;
+    };
+
+    /** @return the feature a transition feeds, -1 if none. */
+    int
+    stcFeature(FsmId fsm, StateId src, StateId dst) const
+    {
+        const StcTable &t = stcTables[fsm];
+        return stcFlat[t.offset +
+                       static_cast<std::uint32_t>(src) * t.states +
+                       static_cast<std::uint32_t>(dst)];
+    }
+
+    /** @return the features an arm of @p counter feeds. */
+    const CounterSlots &
+    counterFeatures(CounterId counter) const
+    {
+        return counterIndex[counter];
+    }
+
     void onTransition(FsmId fsm, StateId src, StateId dst) override;
     void onCounterArm(CounterId counter, std::int64_t init_value,
                       std::int64_t final_value) override;
@@ -80,12 +105,6 @@ class Instrumenter : public Recorder
     std::vector<StcTable> stcTables;
     std::vector<std::int32_t> stcFlat;
 
-    struct CounterSlots
-    {
-        int ic = -1;
-        int siv = -1;
-        int spv = -1;
-    };
     /** Per counter: which accumulators it feeds. */
     std::vector<CounterSlots> counterIndex;
 };

@@ -10,8 +10,10 @@ namespace rtl {
 
 using util::panicIf;
 
-Interpreter::Interpreter(const Design &design)
-    : comp(), owned(std::make_shared<CompiledDesign>(design))
+Interpreter::Interpreter(const Design &design,
+                         std::vector<FeatureSpec> features)
+    : comp(),
+      owned(std::make_shared<CompiledDesign>(design, std::move(features)))
 {
     comp = owned;
 }
@@ -40,17 +42,19 @@ Interpreter::design() const
 }
 
 JobResult
-Interpreter::run(const JobInput &job, Recorder *recorder,
+Interpreter::run(const JobInput &job, FeatureValues *features,
                  std::vector<std::uint64_t> *item_cycles) const
 {
-    return comp->run(job, recorder, item_cycles);
+    return comp->run(job, features, item_cycles);
 }
 
+namespace {
+
+/** Tree-walk one FSM over one item; returns its latency in cycles. */
 std::uint64_t
-Interpreter::runFsm(FsmId id, const WorkItem &item, Recorder *recorder,
-                    double &energy_units) const
+walkFsm(const Design &dsn, FsmId id, const WorkItem &item,
+        Recorder *recorder, double &energy_units)
 {
-    const Design &dsn = comp->design();
     const Fsm &fsm = dsn.fsms()[id];
     const auto &counters = dsn.counters();
     const auto &blocks = dsn.blocks();
@@ -60,8 +64,9 @@ Interpreter::runFsm(FsmId id, const WorkItem &item, Recorder *recorder,
     StateId cur = fsm.initial;
 
     while (true) {
-        panicIf(++visits > maxVisitsPerItem,
-                "fsm '", fsm.name, "' exceeded ", maxVisitsPerItem,
+        panicIf(++visits > Interpreter::maxVisitsPerItem,
+                "fsm '", fsm.name, "' exceeded ",
+                Interpreter::maxVisitsPerItem,
                 " state visits on one item (runaway control loop)");
 
         const State &st = fsm.states[cur];
@@ -135,12 +140,13 @@ Interpreter::runFsm(FsmId id, const WorkItem &item, Recorder *recorder,
     return cycles;
 }
 
-JobResult
-Interpreter::runReference(const JobInput &job, Recorder *recorder,
-                          std::vector<std::uint64_t> *item_cycles) const
-{
-    const Design &dsn = comp->design();
+} // namespace
 
+JobResult
+walkReference(const Design &dsn, const std::vector<FsmId> &order,
+              const JobInput &job, Recorder *recorder,
+              std::vector<std::uint64_t> *item_cycles)
+{
     JobResult result;
     result.cycles = dsn.perJobOverheadCycles();
     result.energyUnits = dsn.controlEnergyPerCycle() *
@@ -152,7 +158,6 @@ Interpreter::runReference(const JobInput &job, Recorder *recorder,
     }
 
     const auto &fsms = dsn.fsms();
-    const auto &order = comp->topoOrder();
     std::vector<std::uint64_t> end_time(fsms.size(), 0);
 
     for (const auto &item : job.items) {
@@ -163,7 +168,7 @@ Interpreter::runReference(const JobInput &job, Recorder *recorder,
             const FsmId dep = fsms[id].startAfter;
             const std::uint64_t start = dep < 0 ? 0 : end_time[dep];
             const std::uint64_t lat =
-                runFsm(id, item, recorder, result.energyUnits);
+                walkFsm(dsn, id, item, recorder, result.energyUnits);
             end_time[id] = start + lat;
             item_latency = std::max(item_latency, end_time[id]);
         }
@@ -174,6 +179,14 @@ Interpreter::runReference(const JobInput &job, Recorder *recorder,
     }
 
     return result;
+}
+
+JobResult
+Interpreter::runReference(const JobInput &job, Recorder *recorder,
+                          std::vector<std::uint64_t> *item_cycles) const
+{
+    return walkReference(comp->design(), comp->topoOrder(), job,
+                         recorder, item_cycles);
 }
 
 } // namespace rtl

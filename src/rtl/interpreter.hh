@@ -10,11 +10,12 @@
  * same cycle counts a cycle-stepped simulation of the IR would.
  *
  * Construction lowers the design to bytecode (rtl/compile.hh); run()
- * executes the compiled form. The original tree-walking evaluator is
+ * executes the compiled form and, when the interpreter was built with
+ * a feature list, reads the paper's instrumentation features out of
+ * the compiled feature taps. The original tree-walking evaluator is
  * retained as runReference() — a slower oracle the differential tests
- * hold the compiled path bit-for-bit equal to.
- *
- * An optional Recorder observes the architectural events the paper's
+ * hold the compiled path bit-for-bit equal to. Only the oracle takes a
+ * Recorder, which observes the architectural events the paper's
  * instrumentation registers watch: FSM transitions and counter arms.
  */
 
@@ -25,13 +26,16 @@
 #include <memory>
 #include <vector>
 
+#include "rtl/analysis.hh"
 #include "rtl/design.hh"
 
 namespace predvfs {
 namespace rtl {
 
 /**
- * Observer interface for instrumentation.
+ * Observer interface for instrumentation, driven by the reference
+ * walker (runReference) only; the compiled path records features
+ * through compiled feature taps instead.
  *
  * The callbacks correspond exactly to the events the paper's
  * instrumented RTL records into added registers (Section 3.3).
@@ -67,15 +71,30 @@ struct JobResult
 class CompiledDesign;
 
 /**
+ * The tree-walking oracle behind Interpreter::runReference(): executes
+ * @p job on @p design by evaluating the expression trees, FSMs in
+ * @p order (topologically sorted by startAfter).
+ */
+JobResult walkReference(const Design &design,
+                        const std::vector<FsmId> &order,
+                        const JobInput &job, Recorder *recorder,
+                        std::vector<std::uint64_t> *item_cycles);
+
+/**
  * Interprets jobs against one design. Construction compiles the design
- * once (expression bytecode + FSM start order); run() is const and
- * reentrant, so one interpreter can serve any number of threads.
+ * once (expression bytecode + FSM start order + feature taps); run() is
+ * const and reentrant, so one interpreter can serve any number of
+ * threads.
  */
 class Interpreter
 {
   public:
-    /** @param design Must outlive the interpreter and be validated. */
-    explicit Interpreter(const Design &design);
+    /**
+     * @param design   Must outlive the interpreter and be validated.
+     * @param features Features run() can read out (compiled to taps).
+     */
+    explicit Interpreter(const Design &design,
+                         std::vector<FeatureSpec> features = {});
 
     /**
      * Share an already-compiled design (e.g. the engine's cached one)
@@ -89,10 +108,13 @@ class Interpreter
      * Execute one job on the compiled design.
      *
      * @param job           The work items to process.
-     * @param recorder      Optional instrumentation observer.
+     * @param features      Optional feature readout, one value per
+     *                      feature the interpreter was built with —
+     *                      the same doubles an Instrumenter records on
+     *                      runReference().
      * @param item_cycles   Optional per-item latency output.
      */
-    JobResult run(const JobInput &job, Recorder *recorder = nullptr,
+    JobResult run(const JobInput &job, FeatureValues *features = nullptr,
                   std::vector<std::uint64_t> *item_cycles = nullptr) const;
 
     /**
@@ -129,10 +151,6 @@ class Interpreter
     static constexpr std::size_t maxVisitsPerItem = 100000;
 
   private:
-    /** Tree-walk one FSM over one item; returns its latency in cycles. */
-    std::uint64_t runFsm(FsmId id, const WorkItem &item,
-                         Recorder *recorder, double &energy_units) const;
-
     std::shared_ptr<const CompiledDesign> comp;
     //! Non-const view of `comp` when this interpreter compiled the
     //! design itself (speculate() retunes it in place); null when the

@@ -220,6 +220,11 @@ writeVerifyReport(std::ostream &os, const Design &design,
            << (c.staticRouted ? "static-routed" : "branch-dynamic")
            << " — " << c.reason << "\n";
     }
+    if (report.tapFeatures != 0) {
+        os << design.name() << ": taps: " << report.tapFeatures
+           << " feature(s), " << report.tapsChecked
+           << " tap(s) audited\n";
+    }
     os << design.name() << ": verify: " << report.numErrors()
        << " error(s), " << report.numWarnings() << " warning(s); "
        << report.rootsProven << " roots proven, "
@@ -241,7 +246,12 @@ writeVerifyReportJson(std::ostream &os, const Design &design,
        << ", \"programs_checked\": " << report.programsChecked
        << ", \"slots_audited\": " << report.slotsChecked
        << ", \"guarded_div_sites\": " << report.guardedDivSites
-       << "},\n  \"certificates\": [";
+       << "},\n";
+    if (report.tapFeatures != 0) {
+        os << "  \"taps\": {\"features\": " << report.tapFeatures
+           << ", \"taps_audited\": " << report.tapsChecked << "},\n";
+    }
+    os << "  \"certificates\": [";
     for (std::size_t i = 0; i < report.certificates.size(); ++i) {
         const auto &c = report.certificates[i];
         os << (i ? "," : "") << "\n    {\"fsm\": " << c.fsm

@@ -461,6 +461,7 @@ verifyCodeName(VerifyCode code)
         return "lockstep-cert-mismatch";
       case VerifyCode::SpeculationMismatch:
         return "speculation-mismatch";
+      case VerifyCode::TapMismatch: return "tap-mismatch";
     }
     return "?";
 }
@@ -501,6 +502,7 @@ class Verifier
         segmentPass();
         tracePass();
         specPass();
+        tapPass();
         return rep;
     }
 
@@ -621,6 +623,10 @@ class Verifier
     void specPass();
     bool srcDecision(FsmId f, StateId s, std::size_t &edge,
                      StateId &taken, StateId &fall) const;
+
+    // ---- pass 7: feature-tap audit ------------------------------
+
+    void tapPass();
 
     friend VerifyReport verifyCompiledDesign(const CompiledDesign &);
 };
@@ -1893,6 +1899,176 @@ Verifier::specPass()
     }
 }
 
+// ------------------------------------------------------------------
+// Pass 7: feature-tap audit. The taps are re-derived from the feature
+// list alone (not through the Instrumenter the compiler used), over
+// the source-derived slot chains and the source transitions, and
+// compared exactly: each segment's merged deltas as an ordered
+// (feature, delta) list, the range feature of each compressed run
+// closed by a dynamic counter slot, and each branch-dynamic state's
+// arm and edge features. Taps the run never reads must be absent.
+// ------------------------------------------------------------------
+
+void
+Verifier::tapPass()
+{
+    const CompiledDesign::CTaps &tp = c.taps;
+    const std::vector<FeatureSpec> &specs = tp.specs;
+    rep.tapFeatures = specs.size();
+    if (tp.segFirst.size() != c.segs.size() + 1 ||
+        tp.stateArm.size() != c.states.size() ||
+        tp.trans.size() != c.trans.size() ||
+        tp.segFirst.back() != tp.pool.size()) {
+        diag(VerifyCode::TapMismatch, -1, -1, -1,
+             "feature-tap tables do not match the compiled tables' "
+             "shape");
+        return;
+    }
+
+    // Which feature each event feeds, straight from the spec list.
+    const std::size_t num_ctr = d.counters().size();
+    std::map<std::tuple<FsmId, StateId, StateId>, std::int32_t> stc;
+    std::vector<std::int32_t> ic(num_ctr, -1);
+    std::vector<std::int32_t> siv(num_ctr, -1);
+    std::vector<std::int32_t> spv(num_ctr, -1);
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+        const FeatureSpec &sp = specs[i];
+        const auto k = static_cast<std::int32_t>(i);
+        if (sp.kind == FeatureKind::Stc) {
+            stc[{sp.fsm, sp.src, sp.dst}] = k;
+            continue;
+        }
+        if (sp.counter < 0 ||
+            static_cast<std::size_t>(sp.counter) >= num_ctr) {
+            diag(VerifyCode::TapMismatch, -1, -1, -1,
+                 "feature '" + sp.name + "' names no counter");
+            continue;
+        }
+        (sp.kind == FeatureKind::Ic ? ic
+         : sp.kind == FeatureKind::Siv ? siv : spv)[sp.counter] = k;
+    }
+    const auto stcOf = [&](FsmId f, StateId s, StateId dst) {
+        const auto it = stc.find({f, s, dst});
+        return it == stc.end() ? -1 : it->second;
+    };
+    const auto valueOf = [&](CounterId ctr, bool down) {
+        return down ? siv[ctr] : spv[ctr];
+    };
+    const auto check = [&](std::int32_t got, std::int32_t want, FsmId f,
+                           StateId s, const std::string &what) {
+        if (got >= 0)
+            ++rep.tapsChecked;
+        if (got != want) {
+            diag(VerifyCode::TapMismatch, f, s, -1,
+                 what + " feeds feature " + std::to_string(got) +
+                     ", the source event feeds " + std::to_string(want));
+        }
+    };
+
+    const std::int64_t lim = CompiledDesign::kExactLimit;
+    const auto &fsms = d.fsms();
+    for (std::size_t fi = 0; fi < fsms.size(); ++fi) {
+        const Fsm &fsm = fsms[fi];
+        const CFsm &cf = c.cfsms[fi];
+        const FsmId f = static_cast<FsmId>(fi);
+        for (std::size_t si = 0; si < fsm.states.size(); ++si) {
+            const StateId s = static_cast<StateId>(si);
+            const std::size_t g = cf.firstState + si;
+            const CSegment &seg = c.segs[g];
+            const std::string seg_name =
+                "segment '" + stateName(f, s) + "'";
+
+            std::vector<ExpSlot> exp;
+            StateId next = -1;
+            deriveChain(f, s, exp, next);
+
+            // The chain's transitions and arms, merged per feature with
+            // the compiler's saturation.
+            std::map<std::int32_t, std::int64_t> want;
+            const auto bump = [&](std::int32_t k, std::int64_t v) {
+                if (k >= 0 && v > 0)
+                    want[k] = std::min(want[k] + std::min(v, lim), lim);
+            };
+            // Each dwell-dynamic slot closes a compressed run, whose tap
+            // names the feature the slot's range feeds; a trailing
+            // static run taps nothing.
+            std::vector<std::int32_t> want_dyn;
+            bool trailing = false;
+            for (const ExpSlot &sl : exp) {
+                if (sl.counter >= 0) {
+                    bump(ic[sl.counter], 1);
+                    if (sl.prog < 0) {
+                        bump(siv[sl.counter], sl.armInit);
+                        bump(spv[sl.counter], sl.armFinal);
+                    }
+                }
+                if (sl.dst >= 0)
+                    bump(stcOf(f, sl.src, sl.dst), 1);
+                trailing = sl.prog < 0;
+                if (sl.prog >= 0) {
+                    want_dyn.push_back(sl.counter < 0
+                                           ? -1
+                                           : valueOf(sl.counter, sl.down));
+                }
+            }
+            if (trailing)
+                want_dyn.push_back(-1);
+            if (seg.numRuns == want_dyn.size() &&
+                static_cast<std::size_t>(seg.firstRun) + seg.numRuns <=
+                    c.runs.size()) {
+                for (std::size_t r = 0; r < want_dyn.size(); ++r) {
+                    check(c.runs[seg.firstRun + r].dynTap, want_dyn[r], f,
+                          s, "run " + std::to_string(r) + " of " +
+                                 seg_name);
+                }
+            }
+            const std::uint32_t first = tp.segFirst[g];
+            const std::uint32_t last = tp.segFirst[g + 1];
+            bool same = first <= last && last - first == want.size();
+            if (same) {
+                std::uint32_t k = first;
+                for (const auto &[feat, delta] : want) {
+                    const CompiledDesign::CTap &t = tp.pool[k++];
+                    same &= t.feature == feat && t.delta == delta;
+                }
+            }
+            if (first <= last)
+                rep.tapsChecked += last - first;
+            if (!same) {
+                diag(VerifyCode::TapMismatch, f, s, -1,
+                     seg_name + " carries feature deltas that differ "
+                                "from its transitions and arms");
+            }
+
+            // Branch-dynamic states tap their own arm and the edge they
+            // take; every other state's arm and edge taps stay empty.
+            const State &st = fsm.states[si];
+            const CState &cs = c.states[g];
+            const bool dyn = exp.empty();
+            CompiledDesign::CArmTap arm;
+            if (dyn && st.kind == LatencyKind::CounterWait) {
+                arm.ic = ic[st.counter];
+                arm.value = valueOf(
+                    st.counter,
+                    d.counters()[st.counter].dir == CounterDir::Down);
+            }
+            check(tp.stateArm[g].ic, arm.ic, f, s,
+                  "the arm count of state '" + stateName(f, s) + "'");
+            check(tp.stateArm[g].value, arm.value, f, s,
+                  "the arm value of state '" + stateName(f, s) + "'");
+            for (std::size_t t = 0; t < st.transitions.size() &&
+                                    cs.firstTrans + t < tp.trans.size();
+                 ++t) {
+                const StateId dst = st.transitions[t].dst;
+                check(tp.trans[cs.firstTrans + t],
+                      dyn ? stcOf(f, s, dst) : -1, f, s,
+                      "edge " + std::to_string(t) + " of state '" +
+                          stateName(f, s) + "'");
+            }
+        }
+    }
+}
+
 VerifyReport
 verifyCompiledDesign(const CompiledDesign &comp)
 {
@@ -1973,6 +2149,7 @@ miscompileName(Miscompile kind)
       case Miscompile::SpecRetarget: return "spec-retarget";
       case Miscompile::SpecPredictFlip: return "spec-predict-flip";
       case Miscompile::SpecCycleSkew: return "spec-cycle-skew";
+      case Miscompile::WrongTap: return "wrong-tap";
     }
     return "?";
 }
@@ -2499,6 +2676,79 @@ injectMiscompile(CompiledDesign &comp, Miscompile kind, unsigned seed)
         comp.specNodes[i].cycles += 1;
         return tag("skewed the presummed cycles of speculative "
                    "sweep node " + std::to_string(i));
+      }
+
+      case Miscompile::WrongTap: {
+        CompiledDesign::CTaps &tp = comp.taps;
+        const std::vector<FeatureSpec> &specs = tp.specs;
+        // Every tap site as a pointer to its feature index.
+        std::vector<std::int32_t *> sites;
+        for (CompiledDesign::CTap &t : tp.pool)
+            sites.push_back(&t.feature);
+        for (CompiledDesign::CRun &r : comp.runs)
+            if (r.dynTap >= 0)
+                sites.push_back(&r.dynTap);
+        for (CompiledDesign::CArmTap &a : tp.stateArm) {
+            if (a.ic >= 0)
+                sites.push_back(&a.ic);
+            if (a.value >= 0)
+                sites.push_back(&a.value);
+        }
+        for (std::int32_t &k : tp.trans)
+            if (k >= 0)
+                sites.push_back(&k);
+
+        switch (seed % 3) {
+          case 0: {
+            if (tp.pool.empty())
+                return "";
+            const std::size_t i = pickSite(seed, tp.pool.size());
+            tp.pool[i].delta += 1;
+            return tag("bumped the delta of feature '" +
+                       specs[tp.pool[i].feature].name +
+                       "' in tap " + std::to_string(i));
+          }
+          case 1: {
+            if (sites.empty() || specs.size() < 2)
+                return "";
+            std::int32_t &k = *sites[pickSite(seed, sites.size())];
+            const std::string was = specs[k].name;
+            k = static_cast<std::int32_t>(
+                (static_cast<std::size_t>(k) + 1) % specs.size());
+            return tag("pointed a tap of feature '" + was +
+                       "' at feature '" + specs[k].name + "'");
+          }
+          default: {
+            // SIV and SPV of one counter: the feature the other
+            // counter direction would feed.
+            const auto partner = [&](std::int32_t k) {
+                const FeatureSpec &sp = specs[k];
+                if (sp.kind != FeatureKind::Siv &&
+                    sp.kind != FeatureKind::Spv)
+                    return -1;
+                const FeatureKind other = sp.kind == FeatureKind::Siv
+                    ? FeatureKind::Spv
+                    : FeatureKind::Siv;
+                for (std::size_t j = 0; j < specs.size(); ++j)
+                    if (specs[j].kind == other &&
+                        specs[j].counter == sp.counter)
+                        return static_cast<std::int32_t>(j);
+                return -1;
+            };
+            std::vector<std::int32_t *> swappable;
+            for (std::int32_t *k : sites)
+                if (partner(*k) >= 0)
+                    swappable.push_back(k);
+            if (swappable.empty())
+                return "";
+            std::int32_t &k =
+                *swappable[pickSite(seed, swappable.size())];
+            const std::string was = specs[k].name;
+            k = partner(k);
+            return tag("swapped a tap of '" + was + "' for '" +
+                       specs[k].name + "'");
+          }
+        }
       }
     }
     return "";

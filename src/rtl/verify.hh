@@ -51,6 +51,13 @@
  *     source edge — so a mispredicted lane's demotion to the scalar
  *     walk is equivalent to never having speculated at all.
  *
+ *  6. Feature-tap audit — every feature tap (rtl/compile.hh) is
+ *     re-derived from the feature list, the source-derived slot chains
+ *     and the source transitions: each segment's merged integer
+ *     deltas, the feature each dwell-dynamic counter slot's range
+ *     feeds, and the STC feature of every edge out of a branch-dynamic
+ *     state, all compared exactly.
+ *
  * Verification runs automatically at CompiledDesign construction,
  * controlled by PREDVFS_VERIFY: unset or "1" panics on a failed proof
  * (a miscompile is an internal invariant violation), "warn" reports
@@ -95,6 +102,7 @@ enum class VerifyCode
     StructureMismatch,    //!< Flattened tables differ from the source.
     LockstepCertMismatch, //!< Batch routing contradicts the certificate.
     SpeculationMismatch,  //!< Speculative route contradicts the source.
+    TapMismatch,          //!< A feature tap differs from the source.
 };
 
 /** @return the stable kebab-case name ("not-equivalent", ...). */
@@ -146,6 +154,8 @@ struct VerifyReport
     std::size_t programsChecked = 0; //!< Well-formedness subjects.
     std::size_t slotsChecked = 0;    //!< Audited segment slots.
     std::size_t guardedDivSites = 0; //!< Div/mod sites a field can zero.
+    std::size_t tapFeatures = 0;     //!< Features the taps record.
+    std::size_t tapsChecked = 0;     //!< Audited feature taps.
 
     std::size_t numErrors() const;
     std::size_t numWarnings() const;
@@ -210,6 +220,9 @@ enum class Miscompile
     SpecRetarget,            //!< Retarget a speculative taken edge.
     SpecPredictFlip,         //!< Flip a node's predicted outcome.
     SpecCycleSkew,           //!< Skew a spec sweep's presummed cycles.
+    WrongTap,                //!< Seed % 3: a tap delta off by one, a
+                             //!< wrong feature index, or SIV and SPV
+                             //!< swapped.
 };
 
 /** @return the stable name of a mutation kind. */

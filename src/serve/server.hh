@@ -8,8 +8,8 @@
  * content-addressed by the same design/predictor fingerprints the
  * JobCache keys on. Incoming Predict requests are answered through
  * SimulationEngine::prepare, so hot jobs come straight from the
- * process-global JobCache and cold ones run through
- * CompiledDesign::runBatch.
+ * process-global JobCache and cold ones run through the compiled
+ * design (CompiledDesign::runBatch, or run() for one or two misses).
  *
  * Request flow: one reader thread per connection decodes frames and
  * enqueues Predict requests on its stream's *bounded* queue — a full

@@ -4,7 +4,6 @@
 #include <unordered_map>
 
 #include "rtl/compile.hh"
-#include "rtl/instrument.hh"
 #include "rtl/interpreter.hh"
 #include "sim/job_cache.hh"
 #include "util/logging.hh"
@@ -15,6 +14,20 @@ namespace sim {
 
 using util::fatalIf;
 using util::panicIf;
+
+namespace {
+
+/**
+ * The serial memoised path sends unique-miss batches smaller than this
+ * through the scalar run(), one job at a time. Measured per design
+ * (DESIGN.md, "Measured and kept"): at one and two jobs the scalar
+ * path is faster on every design; at three the batch kernel already
+ * wins on md and stencil. Both paths are proven equal to the source,
+ * so the choice cannot move a byte.
+ */
+constexpr std::size_t kMinBatchJobs = 3;
+
+} // namespace
 
 SimulationEngine::SimulationEngine(
     const accel::Accelerator &accelerator,
@@ -80,45 +93,34 @@ SimulationEngine::prepare(const std::vector<rtl::JobInput> &jobs,
         });
     }
 
-    // Record i depends only on job i, so any sharding of the index
-    // range produces the same vector; the instrumenter is the one
-    // stateful piece, hence one per worker.
+    // Record i depends only on job i and both runs are reentrant, so
+    // any sharding of the index range produces the same vector.
+    const auto sliceInto = [&](const rtl::JobInput &job,
+                               core::PreparedJob &record) {
+        const core::SliceRun slice = predictor->run(job);
+        record.sliceCycles = slice.sliceCycles;
+        record.sliceEnergyUnits = slice.sliceEnergyUnits;
+        record.predictedCycles = slice.predictedCycles;
+    };
     const auto fill = [&](const rtl::JobInput &job,
-                          core::PreparedJob &record,
-                          rtl::Instrumenter *instr) {
+                          core::PreparedJob &record) {
         record.input = &job;
         const rtl::JobResult result = fullInterp.run(job);
         record.cycles = result.cycles;
         record.energyUnits = result.energyUnits;
-        if (predictor) {
-            const core::SliceRun slice = predictor->runWith(job, *instr);
-            record.sliceCycles = slice.sliceCycles;
-            record.sliceEnergyUnits = slice.sliceEnergyUnits;
-            record.predictedCycles = slice.predictedCycles;
-        }
+        if (predictor)
+            sliceInto(job, record);
     };
 
     if (!JobCache::enabledByEnv()) {
         // The unmemoised reference path: simulate every job.
         if (pool && pool->workers() > 1 && jobs.size() > 1) {
-            std::vector<rtl::Instrumenter> scratch;
-            if (predictor) {
-                scratch.reserve(pool->workerSlots());
-                for (unsigned w = 0; w < pool->workerSlots(); ++w)
-                    scratch.push_back(predictor->makeInstrumenter());
-            }
-            pool->run(jobs.size(), [&](unsigned w, std::size_t i) {
-                fill(jobs[i], prepared[i],
-                     predictor ? &scratch[w] : nullptr);
+            pool->run(jobs.size(), [&](unsigned, std::size_t i) {
+                fill(jobs[i], prepared[i]);
             });
         } else {
-            std::unique_ptr<rtl::Instrumenter> instr;
-            if (predictor) {
-                instr = std::make_unique<rtl::Instrumenter>(
-                    predictor->makeInstrumenter());
-            }
             for (std::size_t i = 0; i < jobs.size(); ++i)
-                fill(jobs[i], prepared[i], instr.get());
+                fill(jobs[i], prepared[i]);
         }
 
         if (faults)
@@ -186,43 +188,29 @@ SimulationEngine::prepare(const std::vector<rtl::JobInput> &jobs,
 
     // Phase 2: simulate only the unique misses. Sharded over the pool
     // when available; the serial path pushes the full-design
-    // simulation through the lockstep batch kernel (bit-identical to
-    // per-job run() by construction).
+    // simulation of batches of kMinBatchJobs or more through the
+    // lockstep batch kernel (bit-identical to per-job run() by
+    // construction).
     if (pool && pool->workers() > 1 && uniq.size() > 1) {
-        std::vector<rtl::Instrumenter> scratch;
-        if (predictor) {
-            scratch.reserve(pool->workerSlots());
-            for (unsigned w = 0; w < pool->workerSlots(); ++w)
-                scratch.push_back(predictor->makeInstrumenter());
-        }
-        pool->run(uniq.size(), [&](unsigned w, std::size_t k) {
-            fill(jobs[uniq[k]], prepared[uniq[k]],
-                 predictor ? &scratch[w] : nullptr);
+        pool->run(uniq.size(), [&](unsigned, std::size_t k) {
+            fill(jobs[uniq[k]], prepared[uniq[k]]);
         });
-    } else if (!uniq.empty()) {
+    } else if (uniq.size() < kMinBatchJobs) {
+        for (const std::size_t i : uniq)
+            fill(jobs[i], prepared[i]);
+    } else {
         std::vector<const rtl::JobInput *> batch;
         batch.reserve(uniq.size());
         for (const std::size_t i : uniq)
             batch.push_back(&jobs[i]);
         const std::vector<rtl::JobResult> results =
             fullInterp.compiled()->runBatch(batch);
-
-        std::unique_ptr<rtl::Instrumenter> instr;
-        if (predictor) {
-            instr = std::make_unique<rtl::Instrumenter>(
-                predictor->makeInstrumenter());
-        }
         for (std::size_t k = 0; k < uniq.size(); ++k) {
             core::PreparedJob &record = prepared[uniq[k]];
             record.cycles = results[k].cycles;
             record.energyUnits = results[k].energyUnits;
-            if (predictor) {
-                const core::SliceRun slice =
-                    predictor->runWith(jobs[uniq[k]], *instr);
-                record.sliceCycles = slice.sliceCycles;
-                record.sliceEnergyUnits = slice.sliceEnergyUnits;
-                record.predictedCycles = slice.predictedCycles;
-            }
+            if (predictor)
+                sliceInto(jobs[uniq[k]], record);
         }
     }
 

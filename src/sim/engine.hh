@@ -92,9 +92,11 @@ class SimulationEngine
      * simulated — batch-level duplicates fan out from one simulation,
      * and repeat streams (grid sweeps, repeated experiments) hit the
      * cache outright. The unique-job miss path runs the full design
-     * through CompiledDesign::runBatch. All of this is bit-identical
-     * to simulating every job from scratch; set PREDVFS_DISABLE_CACHE=1
-     * to run the unmemoised path instead.
+     * through CompiledDesign::runBatch, or through the scalar run()
+     * per job when only one or two jobs miss (below the measured
+     * crossover the batch kernel is slower). All of this is
+     * bit-identical to simulating every job from scratch; set
+     * PREDVFS_DISABLE_CACHE=1 to run the unmemoised path instead.
      *
      * @param faults Optional fault schedule; its prepare-stage effects
      *        (readout corruption, slice stalls, model corruption, OOD

@@ -7,12 +7,19 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <sstream>
+
 #include "accel/registry.hh"
+#include "core/features.hh"
 #include "core/flow.hh"
+#include "rtl/analysis.hh"
 #include "rtl/expr.hh"
 #include "rtl/interpreter.hh"
 #include "util/random.hh"
 #include "workload/suite.hh"
+
+#include "golden_file.hh"
 
 using namespace predvfs;
 using namespace predvfs::rtl;
@@ -181,6 +188,67 @@ TEST(Flow, HlsSliceFasterThanRtlSlice)
     EXPECT_NEAR(hls_flow.predictor->run(job).predictedCycles,
                 rtl_flow.predictor->run(job).predictedCycles,
                 1e-6 * rtl_flow.predictor->run(job).predictedCycles);
+}
+
+namespace {
+
+/** 64-bit FNV-1a over raw bytes, chained through @p h. */
+std::uint64_t
+fnv1a(const void *data, std::size_t n,
+      std::uint64_t h = 1469598103934665603ull)
+{
+    const auto *p = static_cast<const unsigned char *>(data);
+    for (std::size_t i = 0; i < n; ++i) {
+        h ^= p[i];
+        h *= 1099511628211ull;
+    }
+    return h;
+}
+
+std::string
+hex64(std::uint64_t v)
+{
+    char buf[17];
+    std::snprintf(buf, sizeof(buf), "%016llx",
+                  static_cast<unsigned long long>(v));
+    return buf;
+}
+
+} // namespace
+
+TEST(Flow, TrainingFeaturesMatchGolden)
+{
+    // The inputs of Figure 10's models: every design's all-candidate
+    // feature matrix, targets, cycles and energy on its training set,
+    // pinned bit for bit by digest.
+    std::ostringstream os;
+    for (const auto &name : accel::benchmarkNames()) {
+        const auto acc = accel::makeAccelerator(name);
+        const auto work = workload::makeWorkload(*acc);
+        const auto features = analyze(acc->design()).features;
+        const core::FeatureDataset ds =
+            core::collectDataset(acc->design(), features, work.train);
+
+        std::uint64_t x = fnv1a(nullptr, 0);
+        for (std::size_t r = 0; r < ds.x.rows(); ++r)
+            for (std::size_t c = 0; c < ds.x.cols(); ++c) {
+                const double v = ds.x.at(r, c);
+                x = fnv1a(&v, sizeof(v), x);
+            }
+        os << name << " jobs=" << ds.x.rows()
+           << " features=" << ds.x.cols() << " x=" << hex64(x)
+           << " y=" << hex64(fnv1a(ds.y.values().data(),
+                                  ds.y.size() * sizeof(double)))
+           << " cycles=" << hex64(fnv1a(ds.cycles.data(),
+                                       ds.cycles.size() *
+                                           sizeof(std::uint64_t)))
+           << " energy=" << hex64(fnv1a(ds.energyUnits.data(),
+                                       ds.energyUnits.size() *
+                                           sizeof(double)))
+           << "\n";
+    }
+    predvfs::test::expectMatchesGolden("flow_training_features",
+                                       os.str());
 }
 
 TEST(FlowDeath, RequiresConservativeAlpha)

@@ -20,7 +20,6 @@
 #include "accel/registry.hh"
 #include "core/flow.hh"
 #include "rtl/analysis.hh"
-#include "rtl/instrument.hh"
 #include "rtl/interpreter.hh"
 #include "util/random.hh"
 #include "workload/suite.hh"
@@ -118,21 +117,18 @@ TEST_P(BenchmarkProperties, SliceFeaturesMatchFullDesign)
     ASSERT_FALSE(selected.empty());
     const auto &slice = flow.predictor->slice();
 
-    Interpreter full(acc->design());
-    Interpreter fast(slice.design);
-    Instrumenter full_instr(acc->design(), selected);
-    Instrumenter slice_instr(slice.design, slice.features);
+    Interpreter full(acc->design(), selected);
+    Interpreter fast(slice.design, slice.features);
+    FeatureValues full_values;
+    FeatureValues slice_values;
 
     util::Rng rng(104);
     for (int t = 0; t < 10; ++t) {
         const JobInput job = randomJob(acc->design(), rng);
-        full_instr.reset();
-        slice_instr.reset();
-        full.run(job, &full_instr);
-        fast.run(job, &slice_instr);
+        full.run(job, &full_values);
+        fast.run(job, &slice_values);
         for (std::size_t i = 0; i < selected.size(); ++i) {
-            EXPECT_DOUBLE_EQ(full_instr.values()[i],
-                             slice_instr.values()[i])
+            EXPECT_DOUBLE_EQ(full_values[i], slice_values[i])
                 << selected[i].name;
         }
     }

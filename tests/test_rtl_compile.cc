@@ -5,8 +5,8 @@
  * registry design and on crafted edge cases (division by zero,
  * INT64_MIN wrap, nested selects, saturation boundaries), and a
  * CompiledDesign must reproduce the tree-walking interpreter
- * bit-for-bit — cycles, energy, per-item latencies, and the exact
- * Recorder event stream.
+ * bit-for-bit — cycles, energy, per-item latencies, and, through its
+ * feature taps, every event the reference walker reports.
  */
 
 #include <gtest/gtest.h>
@@ -14,7 +14,6 @@
 #include <cstdint>
 #include <limits>
 #include <string>
-#include <tuple>
 #include <vector>
 
 #include "accel/builder.hh"
@@ -25,6 +24,8 @@
 #include "rtl/interpreter.hh"
 #include "util/random.hh"
 #include "workload/suite.hh"
+
+#include "event_features.hh"
 
 using namespace predvfs;
 using namespace predvfs::rtl;
@@ -70,26 +71,6 @@ randomFields(const Design &design, util::Rng &rng)
     return fields;
 }
 
-/** Captures the exact Recorder event stream for comparison. */
-struct EventLog : Recorder
-{
-    using Event = std::tuple<int, int, int, std::int64_t, std::int64_t>;
-    std::vector<Event> events;
-
-    void
-    onTransition(FsmId fsm, StateId src, StateId dst) override
-    {
-        events.emplace_back(0, fsm, src, dst, 0);
-    }
-
-    void
-    onCounterArm(CounterId counter, std::int64_t init_value,
-                 std::int64_t final_value) override
-    {
-        events.emplace_back(1, counter, 0, init_value, final_value);
-    }
-};
-
 } // namespace
 
 class CompileBenchmarks : public ::testing::TestWithParam<std::string>
@@ -128,7 +109,12 @@ TEST_P(CompileBenchmarks, BytecodeMatchesTreeOnRandomFields)
 
 TEST_P(CompileBenchmarks, CompiledJobBitForBitEqualsTreeWalk)
 {
-    const Interpreter interp(acc->design());
+    // Every event the reference walker reports is a feature here, so
+    // the tapped run must read out exactly what an Instrumenter
+    // records on the tree walk.
+    const std::vector<FeatureSpec> features =
+        test::allEventFeatures(acc->design());
+    const Interpreter interp(acc->design(), features);
     const workload::BenchmarkWorkload work = workload::makeWorkload(*acc);
 
     // Real workload jobs plus a random tail; both paths must agree on
@@ -150,18 +136,19 @@ TEST_P(CompileBenchmarks, CompiledJobBitForBitEqualsTreeWalk)
     }
 
     for (const JobInput &job : jobs) {
-        EventLog fast_log, ref_log;
+        Instrumenter ref_instr(acc->design(), features);
+        FeatureValues fast_values;
         std::vector<std::uint64_t> fast_items, ref_items;
-        const JobResult fast = interp.run(job, &fast_log, &fast_items);
+        const JobResult fast = interp.run(job, &fast_values, &fast_items);
         const JobResult ref =
-            interp.runReference(job, &ref_log, &ref_items);
+            interp.runReference(job, &ref_instr, &ref_items);
 
         EXPECT_EQ(fast.cycles, ref.cycles);
         // Exact binary equality, not a tolerance: the compiled path
         // preserves the reference operation order.
         EXPECT_EQ(fast.energyUnits, ref.energyUnits);
         EXPECT_EQ(fast_items, ref_items);
-        EXPECT_EQ(fast_log.events, ref_log.events);
+        EXPECT_EQ(fast_values, ref_instr.values());
     }
 }
 
@@ -678,7 +665,9 @@ expectSameResult(const JobResult &got, const JobResult &want,
 TEST(Compile, ShapesWithoutTheirOwnNodeKindsMatchReference)
 {
     const Design d = shapesDesign();
-    CompiledDesign compiled(d);
+    const std::vector<FeatureSpec> features = analyze(d).features;
+    ASSERT_FALSE(features.empty());
+    CompiledDesign compiled(d, features);
     const Interpreter interp(d);
     ASSERT_EQ(compiled.numLockstepFsms(), 1u);
     ASSERT_LT(compiled.numSpecialised(), compiled.numPrograms());
@@ -699,9 +688,6 @@ TEST(Compile, ShapesWithoutTheirOwnNodeKindsMatchReference)
     for (const JobInput &job : jobs)
         ptrs.push_back(&job);
 
-    const std::vector<FeatureSpec> features = analyze(d).features;
-    ASSERT_FALSE(features.empty());
-    Instrumenter got_instr(d, features);
     Instrumenter ref_instr(d, features);
     std::vector<JobResult> refs;
     for (std::size_t i = 0; i < jobs.size(); ++i) {
@@ -714,12 +700,12 @@ TEST(Compile, ShapesWithoutTheirOwnNodeKindsMatchReference)
                          where);
         EXPECT_EQ(got_items, ref_items) << where;
 
-        got_instr.reset();
+        FeatureValues got_values;
         ref_instr.reset();
-        expectSameResult(compiled.run(jobs[i], &got_instr), ref,
-                         where + ", instrumented");
+        expectSameResult(compiled.run(jobs[i], &got_values), ref,
+                         where + ", tapped");
         interp.runReference(jobs[i], &ref_instr);
-        EXPECT_EQ(got_instr.values(), ref_instr.values()) << where;
+        EXPECT_EQ(got_values, ref_instr.values()) << where;
     }
 
     const auto expectBatch = [&](const std::string &what) {

@@ -78,7 +78,13 @@ TEST(Instrumenter, StcCountsPerEdge)
     Interpreter interp(f.d);
 
     // x >= 10 takes the Down path; else the Up path.
-    interp.run(makeJob({12, 3, 15, 4, 5}), &instr);
+    interp.runReference(makeJob({12, 3, 15, 4, 5}), &instr);
+
+    // The compiled taps read out the same values.
+    const Interpreter tapped(f.d, report.features);
+    FeatureValues tapped_values;
+    tapped.run(makeJob({12, 3, 15, 4, 5}), &tapped_values);
+    EXPECT_EQ(tapped_values, instr.values());
 
     const auto &values = instr.values();
     const auto &specs = instr.specs();
@@ -102,7 +108,12 @@ TEST(Instrumenter, CounterSums)
     Instrumenter instr(f.d, report.features);
     Interpreter interp(f.d);
 
-    interp.run(makeJob({12, 15, 3}), &instr);
+    interp.runReference(makeJob({12, 15, 3}), &instr);
+
+    const Interpreter tapped(f.d, report.features);
+    FeatureValues tapped_values;
+    tapped.run(makeJob({12, 15, 3}), &tapped_values);
+    EXPECT_EQ(tapped_values, instr.values());
 
     const auto &values = instr.values();
     const auto &specs = instr.specs();
@@ -129,12 +140,12 @@ TEST(Instrumenter, ResetClearsAccumulators)
     Instrumenter instr(f.d, report.features);
     Interpreter interp(f.d);
 
-    interp.run(makeJob({12}), &instr);
+    interp.runReference(makeJob({12}), &instr);
     instr.reset();
     for (double v : instr.values())
         EXPECT_DOUBLE_EQ(v, 0.0);
 
-    interp.run(makeJob({3}), &instr);
+    interp.runReference(makeJob({3}), &instr);
     double total = 0.0;
     for (double v : instr.values())
         total += v;
@@ -154,7 +165,7 @@ TEST(Instrumenter, SubsetOfFeatures)
 
     Instrumenter instr(f.d, subset);
     Interpreter interp(f.d);
-    interp.run(makeJob({12, 15}), &instr);
+    interp.runReference(makeJob({12, 15}), &instr);
     EXPECT_DOUBLE_EQ(instr.values()[0], 29.0);
 }
 

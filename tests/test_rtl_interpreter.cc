@@ -253,7 +253,7 @@ TEST(Interpreter, RecorderSeesTransitionsAndArms)
     const Design d = simpleCounterDesign();
     rtl::Interpreter interp(d);
     ArmLog log;
-    interp.run(jobWithLens({12, 4}), &log);
+    interp.runReference(jobWithLens({12, 4}), &log);
 
     ASSERT_EQ(log.arms.size(), 2u);
     EXPECT_EQ(log.arms[0].init, 12);
@@ -279,7 +279,7 @@ TEST(Interpreter, UpCounterReportsFinalValue)
 
     rtl::Interpreter interp(d);
     ArmLog log;
-    interp.run(jobWithLens({9}), &log);
+    interp.runReference(jobWithLens({9}), &log);
     ASSERT_EQ(log.arms.size(), 1u);
     EXPECT_EQ(log.arms[0].init, 0);
     EXPECT_EQ(log.arms[0].final, 9);
@@ -323,8 +323,9 @@ TEST(Interpreter, ArmOnlyStateDwellsOneCycle)
 
     rtl::Interpreter interp(d);
     ArmLog log;
-    const auto result = interp.run(jobWithLens({500}), &log);
+    const auto result = interp.runReference(jobWithLens({500}), &log);
     EXPECT_EQ(result.cycles, 1u);  // Elided wait.
+    EXPECT_EQ(interp.run(jobWithLens({500})).cycles, 1u);
     ASSERT_EQ(log.arms.size(), 1u);
     EXPECT_EQ(log.arms[0].init, 500);  // Full range still recorded.
 }
@@ -347,8 +348,9 @@ TEST(Interpreter, WaitScaleCompressesDwell)
 
     rtl::Interpreter interp(d);
     ArmLog log;
-    const auto result = interp.run(jobWithLens({100}), &log);
+    const auto result = interp.runReference(jobWithLens({100}), &log);
     EXPECT_EQ(result.cycles, 25u);
+    EXPECT_EQ(interp.run(jobWithLens({100})).cycles, 25u);
     EXPECT_EQ(log.arms[0].init, 100);  // Feature value unchanged.
 }
 

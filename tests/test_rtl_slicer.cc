@@ -13,7 +13,6 @@
 
 #include "rtl/analysis.hh"
 #include "rtl/expr.hh"
-#include "rtl/instrument.hh"
 #include "rtl/interpreter.hh"
 #include "rtl/slicer.hh"
 #include "util/random.hh"
@@ -124,23 +123,19 @@ TEST(Slicer, SliceFeatureValuesMatchFullDesign)
     ASSERT_FALSE(selected.empty());
     const auto slice = makeSlice(f.d, selected);
 
-    Interpreter full(f.d);
-    Interpreter fast(slice.design);
-    Instrumenter full_instr(f.d, selected);
-    Instrumenter slice_instr(slice.design, slice.features);
+    Interpreter full(f.d, selected);
+    Interpreter fast(slice.design, slice.features);
+    FeatureValues full_values;
+    FeatureValues slice_values;
 
     Rng rng(99);
     for (int trial = 0; trial < 25; ++trial) {
         const JobInput job = f.randomJob(rng);
-        full_instr.reset();
-        slice_instr.reset();
-        full.run(job, &full_instr);
-        fast.run(job, &slice_instr);
-        ASSERT_EQ(full_instr.values().size(),
-                  slice_instr.values().size());
+        full.run(job, &full_values);
+        fast.run(job, &slice_values);
+        ASSERT_EQ(full_values.size(), slice_values.size());
         for (std::size_t i = 0; i < selected.size(); ++i) {
-            EXPECT_DOUBLE_EQ(full_instr.values()[i],
-                             slice_instr.values()[i])
+            EXPECT_DOUBLE_EQ(full_values[i], slice_values[i])
                 << "feature " << selected[i].name << " trial " << trial;
         }
     }
@@ -242,22 +237,20 @@ TEST(Slicer, HlsModeFasterSameFeatures)
     const auto rtl_slice = makeSlice(f.d, selected, rtl_opts);
     const auto hls_slice = makeSlice(f.d, selected, hls_opts);
 
-    Interpreter rtl_interp(rtl_slice.design);
-    Interpreter hls_interp(hls_slice.design);
-    Instrumenter rtl_instr(rtl_slice.design, rtl_slice.features);
-    Instrumenter hls_instr(hls_slice.design, hls_slice.features);
+    Interpreter rtl_interp(rtl_slice.design, rtl_slice.features);
+    Interpreter hls_interp(hls_slice.design, hls_slice.features);
+    FeatureValues rtl_values;
+    FeatureValues hls_values;
 
     Rng rng(123);
     const JobInput job = f.randomJob(rng, 40);
 
-    rtl_instr.reset();
-    hls_instr.reset();
-    const auto rtl_cycles = rtl_interp.run(job, &rtl_instr).cycles;
-    const auto hls_cycles = hls_interp.run(job, &hls_instr).cycles;
+    const auto rtl_cycles = rtl_interp.run(job, &rtl_values).cycles;
+    const auto hls_cycles = hls_interp.run(job, &hls_values).cycles;
 
     EXPECT_LT(hls_cycles, rtl_cycles);
-    for (std::size_t i = 0; i < rtl_instr.values().size(); ++i)
-        EXPECT_DOUBLE_EQ(rtl_instr.values()[i], hls_instr.values()[i]);
+    for (std::size_t i = 0; i < rtl_values.size(); ++i)
+        EXPECT_DOUBLE_EQ(rtl_values[i], hls_values[i]);
 }
 
 TEST(Slicer, SharedScratchpadNotChargedToSlice)

@@ -11,19 +11,24 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
-#include <fstream>
 #include <sstream>
 
 #include "accel/builder.hh"
 #include "accel/registry.hh"
+#include "core/flow.hh"
 #include "rtl/analysis.hh"
 #include "rtl/compile.hh"
 #include "rtl/report.hh"
 #include "rtl/slicer.hh"
 #include "rtl/verify.hh"
+#include "workload/suite.hh"
+
+#include "event_features.hh"
+#include "golden_file.hh"
 
 using namespace predvfs;
 using namespace predvfs::rtl;
+using predvfs::test::expectMatchesGolden;
 using accel::doneState;
 using accel::fixedState;
 using accel::implicitState;
@@ -114,34 +119,6 @@ miniDesign()
     return d;
 }
 
-std::string
-goldenPath(const std::string &name)
-{
-    return std::string(PREDVFS_SOURCE_DIR) + "/tests/goldens/" + name +
-           ".golden";
-}
-
-/**
- * Compare @p actual against a golden file; regenerate it instead when
- * PREDVFS_REGEN_GOLDENS is set (then fail, so a stale CI cannot pass
- * by silently rewriting fixtures).
- */
-void
-expectMatchesGolden(const std::string &name, const std::string &actual)
-{
-    const std::string path = goldenPath(name);
-    if (std::getenv("PREDVFS_REGEN_GOLDENS")) {
-        std::ofstream out(path);
-        out << actual;
-        FAIL() << "regenerated golden " << path;
-    }
-    std::ifstream in(path);
-    ASSERT_TRUE(in.good()) << "missing golden " << path;
-    std::stringstream buf;
-    buf << in.rdbuf();
-    EXPECT_EQ(buf.str(), actual) << "golden mismatch: " << path;
-}
-
 const Miscompile kAllMiscompiles[] = {
     Miscompile::DropAffineTerm,
     Miscompile::AffineImmOffByOne,
@@ -162,6 +139,7 @@ const Miscompile kAllMiscompiles[] = {
     Miscompile::StateEnergyCorrupt,
     Miscompile::FixedDwellCorrupt,
     Miscompile::JobOverheadCorrupt,
+    Miscompile::WrongTap,
 };
 
 } // namespace
@@ -261,10 +239,12 @@ TEST(Verify, CertificateReasonsNameTheBlockingGuard)
 
 TEST(VerifyMutation, EveryMiscompileKindIsStaticallyRejected)
 {
+    // Tapped with every event, so the tap kind has sites too.
     const Design d = richDesign();
+    const std::vector<FeatureSpec> features = test::allEventFeatures(d);
     for (const Miscompile kind : kAllMiscompiles) {
         for (unsigned seed = 0; seed < 3; ++seed) {
-            CompiledDesign comp(d);
+            CompiledDesign comp(d, features);
             const std::string what = injectMiscompile(comp, kind, seed);
             ASSERT_FALSE(what.empty())
                 << miscompileName(kind) << " has no eligible site";
@@ -372,6 +352,61 @@ TEST(VerifyMutation, BenchmarkModelsRejectMutationsToo)
     EXPECT_GE(injected, 10u);
 }
 
+TEST(VerifyMutation, EveryWrongTapVariantIsRejected)
+{
+    // Seed % 3 picks the variant: a delta off by one, a wrong feature
+    // index, SIV swapped with SPV. Each must fail the tap audit on the
+    // crafted design with every event tapped, whatever the site.
+    const Design d = richDesign();
+    const std::vector<FeatureSpec> features = test::allEventFeatures(d);
+    {
+        const CompiledDesign clean(d, features);
+        const VerifyReport report = verifyCompiledDesign(clean);
+        EXPECT_TRUE(report.clean());
+        EXPECT_EQ(report.tapFeatures, features.size());
+        EXPECT_GT(report.tapsChecked, 0u);
+    }
+    for (unsigned seed = 0; seed < 12; ++seed) {
+        CompiledDesign comp(d, features);
+        const std::string what =
+            injectMiscompile(comp, Miscompile::WrongTap, seed);
+        ASSERT_FALSE(what.empty()) << "seed " << seed << " has no site";
+        const VerifyReport report = verifyCompiledDesign(comp);
+        EXPECT_FALSE(report.withCode(VerifyCode::TapMismatch).empty())
+            << "undetected miscompile: " << what;
+    }
+
+    // The same on every benchmark's tapped artifacts: the full design
+    // with every candidate feature and the trained slice.
+    std::size_t injected = 0;
+    for (const auto &name : accel::benchmarkNames()) {
+        const auto acc = accel::makeAccelerator(name);
+        const core::FlowResult flow = core::buildPredictor(
+            acc->design(), workload::makeWorkload(*acc).train);
+        const SliceResult &slice = flow.predictor->slice();
+        const std::pair<const Design *, std::vector<FeatureSpec>>
+            artifacts[] = {
+                {&acc->design(), analyze(acc->design()).features},
+                {&slice.design, slice.features},
+            };
+        for (const auto &[design, specs] : artifacts) {
+            for (unsigned seed = 0; seed < 6; ++seed) {
+                CompiledDesign comp(*design, specs);
+                const std::string what =
+                    injectMiscompile(comp, Miscompile::WrongTap, seed);
+                if (what.empty())
+                    continue;  // No SIV/SPV pair to swap here.
+                ++injected;
+                EXPECT_FALSE(verifyCompiledDesign(comp)
+                                 .withCode(VerifyCode::TapMismatch)
+                                 .empty())
+                    << name << ": undetected miscompile: " << what;
+            }
+        }
+    }
+    EXPECT_GE(injected, 7u * 2u * 2u);
+}
+
 TEST(VerifyMutation, DescriptionsNameTheKind)
 {
     const Design d = richDesign();
@@ -411,14 +446,18 @@ TEST(VerifyMode, EnvKnobParsing)
 
 TEST(VerifyReportGolden, CleanBenchmarksAndSlicesJson)
 {
-    // Every registry design and its RTL and HLS slices, as one JSON
-    // array: the proof counts, certificates and presummed cycles pin
-    // the compiled tables of all 21 artifacts.
+    // Every registry design, its RTL and HLS slices, the design tapped
+    // with every candidate feature and the trained slice tapped with
+    // its selected features, as one JSON array (the order
+    // example_verify_design prints): the proof counts, tap counts,
+    // certificates and presummed cycles pin the compiled tables of all
+    // 35 artifacts.
     std::ostringstream os;
     os << "[\n";
     bool first = true;
-    const auto emit = [&](const Design &design) {
-        const CompiledDesign comp(design);
+    const auto emit = [&](const Design &design,
+                          const std::vector<FeatureSpec> &features = {}) {
+        const CompiledDesign comp(design, features);
         const VerifyReport report = verifyCompiledDesign(comp);
         if (!first)
             os << ",\n";
@@ -436,6 +475,11 @@ TEST(VerifyReportGolden, CleanBenchmarksAndSlicesJson)
             emit(makeSlice(acc->design(), analysis.features, options)
                      .design);
         }
+        emit(acc->design(), analysis.features);
+        const core::FlowResult flow = core::buildPredictor(
+            acc->design(), workload::makeWorkload(*acc).train);
+        emit(flow.predictor->slice().design,
+             flow.predictor->slice().features);
     }
     os << "]\n";
     expectMatchesGolden("verify_benchmarks_clean", os.str());
