@@ -203,13 +203,6 @@ build/bench/bench_robustness_faults sha 60 > /dev/null
 stage "perf regression harness"
 build/bench/bench_perf_pipeline BENCH_perf.json
 
-stage "serving bench + chaos soak + sharded dispatch"
-# Exits non-zero if cold and warm serving replies ever diverge, if
-# the seeded chaos soak sees a byte divergence or a telemetry
-# identity violation, or if the sharded dispatcher's replies diverge
-# from the single-dispatcher reference.
-build/bench/bench_serve BENCH_serve.json
-
 stage "served-path correctness (perfledger solo_hot + solo_cold)"
 # One controller over a Unix socket, hot then cold jobs: run.py exits
 # non-zero if any served reply differs bit for bit from the in-process
@@ -221,7 +214,6 @@ stage "bench smoke"
 for b in build/bench/*; do
     case "$b" in
         */bench_perf_pipeline) continue ;;  # ran above, with output
-        */bench_serve) continue ;;          # ran above, with output
     esac
     if [ -f "$b" ] && [ -x "$b" ]; then
         echo "-- $b"

@@ -15,6 +15,8 @@
 #include "sim/experiment.hh"
 #include "sim/fault.hh"
 
+#include "run_metrics.hh"
+
 using namespace predvfs;
 using namespace predvfs::sim;
 
@@ -44,16 +46,9 @@ TEST_P(GuardedCleanRun, MatchesPlainControllerBitForBit)
     const auto plain = exp.runScheme(Scheme::Prediction);
     const auto guarded = exp.runScheme(Scheme::GuardedPrediction);
 
-    EXPECT_EQ(guarded.jobs, plain.jobs);
-    EXPECT_EQ(guarded.misses, plain.misses);
-    EXPECT_EQ(guarded.switches, plain.switches);
     // Exact double equality on purpose: Healthy must delegate
     // verbatim, not merely approximately.
-    EXPECT_EQ(guarded.execEnergyJoules, plain.execEnergyJoules);
-    EXPECT_EQ(guarded.overheadEnergyJoules,
-              plain.overheadEnergyJoules);
-    EXPECT_EQ(guarded.execSeconds, plain.execSeconds);
-    EXPECT_EQ(guarded.overheadSeconds, plain.overheadSeconds);
+    test::expectMetricsIdentical(guarded, plain);
 
     // The watchdog must never have left Healthy on the clean stream.
     const double f0 = exp.accelerator().nominalFrequencyHz();

@@ -79,25 +79,38 @@ chaosRetryOptions(serve::PredictionServer &server, double fault_rate,
 
 } // namespace
 
-TEST(ServeChaos, SoakDeliversByteIdenticalRepliesAtEveryFaultRate)
+namespace {
+
+/** Four retrying clients replay duplicate-heavy bursts of @p bench
+ *  over chaos-wrapped loopback connections at each fault rate. */
+void
+soakAtFaultRates(const char *bench, std::size_t queue_bound,
+                 std::initializer_list<double> rates,
+                 std::size_t requests_per_client, std::size_t hot_jobs)
 {
+    SCOPED_TRACE(std::string(bench) + " queue bound " +
+                 std::to_string(queue_bound));
     // The in-process reference records the served replies must match
     // byte for byte, chaos or no chaos.
-    sim::Experiment exp(kBench, sim::ExperimentOptions{});
+    sim::Experiment exp(bench, sim::ExperimentOptions{});
     const std::vector<rtl::JobInput> &jobs = exp.workload().test;
     const std::vector<core::PreparedJob> &records = exp.testPrepared();
+    // Serve cold: a dispatcher answering only the hits the Experiment
+    // left in the cache drains a small queue as fast as a sanitizer
+    // build's clients can fill it, and Busy would never fire.
+    sim::JobCache::global().clear();
 
     serve::ServerOptions sopts;
     sopts.workers = 2;
     sopts.batchWindowMicros = 200;
+    sopts.queueBound = queue_bound;
     serve::PredictionServer server(sopts);
-    server.registerBenchmark(kBench);
+    server.registerBenchmark(bench);
 
-    for (const double rate : {0.02, 0.05, 0.10}) {
+    for (const double rate : rates) {
         const std::vector<workload::ReplayPlan> plans =
             workload::duplicateHeavyPlans(jobs.size(), kClients,
-                                          /*requests_per_client=*/120,
-                                          /*hot_jobs=*/6,
+                                          requests_per_client, hot_jobs,
                                           workload::defaultSeed);
         std::vector<std::vector<serve::PredictOutcome>> outcomes(
             kClients);
@@ -106,7 +119,7 @@ TEST(ServeChaos, SoakDeliversByteIdenticalRepliesAtEveryFaultRate)
             threads.emplace_back([&, c] {
                 serve::PredictionClient client(
                     chaosRetryOptions(server, rate, c));
-                const std::uint32_t sid = client.openStream(kBench);
+                const std::uint32_t sid = client.openStream(bench);
                 std::vector<rtl::JobInput> burst;
                 burst.reserve(plans[c].indices.size());
                 for (const std::size_t index : plans[c].indices)
@@ -135,11 +148,28 @@ TEST(ServeChaos, SoakDeliversByteIdenticalRepliesAtEveryFaultRate)
 
         // The identity holds at every fault rate: chaos re-sends show
         // up as new accepted requests, never as unaccounted ones.
-        const serve::StreamTelemetry t = server.telemetry(kBench);
+        const serve::StreamTelemetry t = server.telemetry(bench);
         expectTelemetryIdentity(t);
         EXPECT_EQ(t.expired, 0u);  // No deadlines in this soak.
+        if (queue_bound < serve::ServerOptions{}.queueBound) {
+            EXPECT_GT(t.busy, 0u);
+        }
     }
     server.stop();
+}
+
+} // namespace
+
+TEST(ServeChaos, SoakDeliversByteIdenticalRepliesAtEveryFaultRate)
+{
+    soakAtFaultRates(kBench, serve::ServerOptions{}.queueBound,
+                     {0.02, 0.05, 0.10}, /*requests_per_client=*/120,
+                     /*hot_jobs=*/6);
+    // A queue of 16, which the pipelined bursts overflow: Busy
+    // backpressure and chaos hit the retrying clients together.
+    for (const char *bench : {"sha", "cjpeg"})
+        soakAtFaultRates(bench, /*queue_bound=*/16, {0.05},
+                         /*requests_per_client=*/200, /*hot_jobs=*/8);
 }
 
 TEST(ServeChaos, SoakOverTcpDeliversByteIdenticalRepliesAtEveryFaultRate)

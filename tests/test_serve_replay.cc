@@ -20,6 +20,8 @@
 #include "sim/experiment.hh"
 #include "sim/job_cache.hh"
 
+#include "run_metrics.hh"
+
 using namespace predvfs;
 
 namespace {
@@ -38,18 +40,6 @@ replayOnce(serve::PredictionServer &server, const std::string &bench,
     serve::PredictionClient client(server.connectLoopback());
     const std::uint32_t sid = client.openStream(bench);
     return serve::buildGoldenReport(client, sid, bench, eopts);
-}
-
-void
-expectSameMetrics(const sim::RunMetrics &a, const sim::RunMetrics &b)
-{
-    EXPECT_EQ(a.jobs, b.jobs);
-    EXPECT_EQ(a.misses, b.misses);
-    EXPECT_EQ(a.switches, b.switches);
-    EXPECT_EQ(a.execEnergyJoules, b.execEnergyJoules);
-    EXPECT_EQ(a.overheadEnergyJoules, b.overheadEnergyJoules);
-    EXPECT_EQ(a.execSeconds, b.execSeconds);
-    EXPECT_EQ(a.overheadSeconds, b.overheadSeconds);
 }
 
 void
@@ -88,10 +78,10 @@ checkBenchmark(const std::string &bench)
                       record.predictedCycles);
         }
     }
-    expectSameMetrics(fresh.baseline,
-                      exp.runScheme(sim::Scheme::Baseline));
-    expectSameMetrics(fresh.prediction,
-                      exp.runScheme(sim::Scheme::Prediction));
+    test::expectMetricsIdentical(fresh.baseline,
+                                 exp.runScheme(sim::Scheme::Baseline));
+    test::expectMetricsIdentical(fresh.prediction,
+                                 exp.runScheme(sim::Scheme::Prediction));
 
     // Telemetry identity: every request was a hit, a coalesced
     // duplicate, or a fresh simulation.

@@ -10,10 +10,14 @@
 #include "accel/registry.hh"
 #include "core/flow.hh"
 #include "core/oracle_controller.hh"
+#include "rtl/instrument.hh"
 #include "rtl/interpreter.hh"
 #include "sim/engine.hh"
+#include "sim/job_cache.hh"
 #include "util/thread_pool.hh"
 #include "workload/suite.hh"
+
+#include "run_metrics.hh"
 
 using namespace predvfs;
 using namespace predvfs::sim;
@@ -252,19 +256,6 @@ expectPreparedIdentical(const std::vector<core::PreparedJob> &a,
     }
 }
 
-/** Exact equality of two run results. */
-void
-expectMetricsIdentical(const RunMetrics &a, const RunMetrics &b)
-{
-    EXPECT_EQ(a.jobs, b.jobs);
-    EXPECT_EQ(a.misses, b.misses);
-    EXPECT_EQ(a.switches, b.switches);
-    EXPECT_EQ(a.execEnergyJoules, b.execEnergyJoules);
-    EXPECT_EQ(a.overheadEnergyJoules, b.overheadEnergyJoules);
-    EXPECT_EQ(a.execSeconds, b.execSeconds);
-    EXPECT_EQ(a.overheadSeconds, b.overheadSeconds);
-}
-
 } // namespace
 
 TEST(Engine, ParallelPrepareBitIdenticalToSerial)
@@ -285,11 +276,16 @@ TEST(Engine, ParallelPrepareBitIdenticalToSerial)
 }
 
 // The engine self-speculates on its first prepare() (profiling a
-// slice of the stream to retune the batch kernel's lockstep routes).
-// Across all seven benchmarks, prove the optimisation is invisible:
-// prepared records stay byte-identical to the tree-walking reference
-// on the full-design fields, and serial vs pooled prepare agree byte
-// for byte even with a fault schedule active.
+// slice of the stream to retune the batch kernel's lockstep routes)
+// and memoises what it simulates. Across all seven benchmarks, prove
+// both invisible: cold (empty cache) and warm prepared records equal
+// the tree walker's field for field — the full design through
+// runReference, the slice through runReference with an Instrumenter
+// and the predictor — clean and under a fault schedule (applied to
+// the oracle with applyPrepareFaults), and serial vs pooled prepare
+// agree byte for byte under the schedule. The stream ends with a
+// repeat of its first jobs, so duplicates fan out of one simulation
+// before the schedule mutates each copy by its index.
 TEST(Engine, AllDesignsPrepareBitExactUnderFaultsAfterSpeculation)
 {
     for (const std::string &name : accel::benchmarkNames()) {
@@ -304,34 +300,54 @@ TEST(Engine, AllDesignsPrepareBitExactUnderFaultsAfterSpeculation)
         const SimulationEngine engine{*acc, table, {}};
         const core::FlowResult flow =
             core::buildPredictor(acc->design(), work.train, {});
+        const core::SlicePredictor &pred = *flow.predictor;
 
-        // First prepare triggers self-speculation; the clean records
-        // must match the unspeculated tree walker bit for bit.
-        const auto clean =
-            engine.prepare(work.test, flow.predictor.get());
-        const rtl::Interpreter oracle(acc->design());
-        ASSERT_EQ(clean.size(), work.test.size());
-        for (std::size_t i = 0; i < clean.size(); ++i) {
-            const rtl::JobResult ref =
-                oracle.runReference(work.test[i]);
-            ASSERT_EQ(clean[i].cycles, ref.cycles) << "job " << i;
-            ASSERT_EQ(clean[i].energyUnits, ref.energyUnits)
-                << "job " << i;
+        std::vector<rtl::JobInput> jobs = work.test;
+        jobs.insert(jobs.end(), work.test.begin(),
+                    work.test.begin() +
+                        std::min<std::size_t>(8, work.test.size()));
+
+        const rtl::Interpreter full_tree(acc->design());
+        const rtl::SliceResult &slice = pred.slice();
+        const rtl::Interpreter slice_tree(slice.design);
+        rtl::Instrumenter instr(slice.design, slice.features);
+        std::vector<core::PreparedJob> oracle;
+        for (const rtl::JobInput &job : jobs) {
+            core::PreparedJob record;
+            record.input = &job;
+            const rtl::JobResult full = full_tree.runReference(job);
+            record.cycles = full.cycles;
+            record.energyUnits = full.energyUnits;
+            instr.reset();
+            const rtl::JobResult sliced =
+                slice_tree.runReference(job, &instr);
+            record.sliceCycles = sliced.cycles;
+            record.sliceEnergyUnits = sliced.energyUnits;
+            record.predictedCycles = pred.predictCycles(instr.values());
+            oracle.push_back(record);
         }
 
-        FaultPlan plan(987 + work.test.size());
+        // The first prepare triggers self-speculation.
+        JobCache::global().clear();
+        expectPreparedIdentical(engine.prepare(jobs, &pred), oracle);
+        expectPreparedIdentical(engine.prepare(jobs, &pred), oracle);
+
+        FaultPlan plan(987 + jobs.size());
         plan.sliceReadout(FaultTrigger::every(7))
             .sliceStall(FaultTrigger::every(11, 2), 15.0)
             .oodSpike(FaultTrigger::every(13, 5), 2.0);
-        const FaultSchedule schedule =
-            plan.instantiate(work.test.size());
+        const FaultSchedule schedule = plan.instantiate(jobs.size());
+        std::vector<core::PreparedJob> faulted_oracle = oracle;
+        schedule.applyPrepareFaults(faulted_oracle);
 
-        const auto serial = engine.prepare(
-            work.test, flow.predictor.get(), &schedule);
+        JobCache::global().clear();
+        const auto serial = engine.prepare(jobs, &pred, &schedule);
+        expectPreparedIdentical(serial, faulted_oracle);
+        expectPreparedIdentical(engine.prepare(jobs, &pred, &schedule),
+                                faulted_oracle);
         util::ThreadPool pool(4);
-        const auto parallel = engine.prepare(
-            work.test, flow.predictor.get(), &schedule, &pool);
-        expectPreparedIdentical(serial, parallel);
+        expectPreparedIdentical(
+            serial, engine.prepare(jobs, &pred, &schedule, &pool));
     }
 }
 
@@ -366,7 +382,7 @@ TEST(Engine, ParallelPrepareWithFaultsMatchesSerialRun)
                                  f.acc->nominalFrequencyHz(), {});
         core::OracleController b(f.table,
                                  f.acc->nominalFrequencyHz(), {});
-        expectMetricsIdentical(
+        test::expectMetricsIdentical(
             f.engine.run(a, serial, nullptr, &schedule),
             f.engine.run(b, parallel, nullptr, &schedule));
     }

@@ -10,8 +10,11 @@
 
 #include <cmath>
 
+#include "accel/registry.hh"
 #include "sim/experiment.hh"
 #include "sim/job_cache.hh"
+
+#include "run_metrics.hh"
 
 using namespace predvfs;
 using namespace predvfs::sim;
@@ -143,44 +146,54 @@ TEST(Experiment, ShorterDeadlineNeverSavesMoreEnergy)
 
 TEST(Experiment, CellsShareOnePreparedStream)
 {
-    clearSharedStreams();
-    ExperimentOptions base;
-    Experiment a("sha", base);
+    for (const std::string &name : accel::benchmarkNames()) {
+        SCOPED_TRACE(name);
+        clearSharedStreams();
+        ExperimentOptions base;
+        Experiment a(name, base);
 
-    // A cell differing only in deadline/switch time/platform replays
-    // the same immutable stream: identical addresses, not just values.
-    ExperimentOptions other = base;
-    other.deadlineSeconds = 0.5 / 60.0;
-    other.switchTimeSeconds = 250e-6;
-    other.platform = Platform::Fpga;
-    Experiment b("sha", other);
-    // Sharing is also bypassed when PREDVFS_DISABLE_CACHE=1.
-    if (JobCache::enabledByEnv() && a.options().shareStreams &&
-        b.options().shareStreams) {
-        EXPECT_EQ(&a.testPrepared(), &b.testPrepared());
-        EXPECT_EQ(&a.trainPrepared(), &b.trainPrepared());
-        EXPECT_EQ(&a.predictor(), &b.predictor());
+        // A cell differing only in deadline/switch time/platform
+        // replays the same immutable stream: identical addresses, not
+        // just values.
+        ExperimentOptions other = base;
+        other.deadlineSeconds = 0.5 / 60.0;
+        other.switchTimeSeconds = 250e-6;
+        other.platform = Platform::Fpga;
+        Experiment b(name, other);
+        // Sharing is also bypassed when PREDVFS_DISABLE_CACHE=1.
+        if (JobCache::enabledByEnv() && a.options().shareStreams &&
+            b.options().shareStreams) {
+            EXPECT_EQ(&a.testPrepared(), &b.testPrepared());
+            EXPECT_EQ(&a.trainPrepared(), &b.trainPrepared());
+            EXPECT_EQ(&a.predictor(), &b.predictor());
+        }
+
+        // Opting out builds privately, with identical record values,
+        // and replays to exactly the shared cell's metrics.
+        ExperimentOptions priv = other;
+        priv.shareStreams = false;
+        Experiment d(name, priv);
+        EXPECT_NE(&a.testPrepared(), &d.testPrepared());
+        ASSERT_EQ(a.testPrepared().size(), d.testPrepared().size());
+        for (std::size_t i = 0; i < a.testPrepared().size(); ++i) {
+            EXPECT_EQ(a.testPrepared()[i].cycles,
+                      d.testPrepared()[i].cycles);
+            EXPECT_EQ(a.testPrepared()[i].energyUnits,
+                      d.testPrepared()[i].energyUnits);
+            EXPECT_EQ(a.testPrepared()[i].predictedCycles,
+                      d.testPrepared()[i].predictedCycles);
+        }
+        test::expectMetricsIdentical(b.runScheme(Scheme::Prediction),
+                                     d.runScheme(Scheme::Prediction));
     }
 
     // Different seed means a different stream.
+    clearSharedStreams();
+    ExperimentOptions base;
+    Experiment a("sha", base);
     ExperimentOptions reseeded = base;
     reseeded.seed = base.seed + 17;
     Experiment c("sha", reseeded);
     EXPECT_NE(&a.testPrepared(), &c.testPrepared());
-
-    // Opting out builds privately but with identical record values.
-    ExperimentOptions priv = base;
-    priv.shareStreams = false;
-    Experiment d("sha", priv);
-    EXPECT_NE(&a.testPrepared(), &d.testPrepared());
-    ASSERT_EQ(a.testPrepared().size(), d.testPrepared().size());
-    for (std::size_t i = 0; i < a.testPrepared().size(); ++i) {
-        EXPECT_EQ(a.testPrepared()[i].cycles,
-                  d.testPrepared()[i].cycles);
-        EXPECT_EQ(a.testPrepared()[i].energyUnits,
-                  d.testPrepared()[i].energyUnits);
-        EXPECT_EQ(a.testPrepared()[i].predictedCycles,
-                  d.testPrepared()[i].predictedCycles);
-    }
     clearSharedStreams();
 }
