@@ -26,9 +26,7 @@
  *             tapped trained slice vs a cold serial prepare.
  *
  * The first six gates require side A / side B >= 1 on every design;
- * verify requires it <= 0.10. With PREDVFS_DISABLE_CACHE=1 both sides
- * of memo and sweep take the same uncached path, so those two run
- * only with the cache enabled. Each pair runs kRounds rounds of
+ * verify requires it <= 0.10. Each pair runs kRounds rounds of
  * {side A, side B} and gates the median of the per-round ratios: the
  * two sides of a round run back to back, so a slow host phase
  * (frequency step, co-tenant load) lands on both, and a phase that
@@ -121,7 +119,7 @@ keep(std::uint64_t value)
 }
 
 std::vector<Gate>
-measureGates(const std::string &name, bool cache_on)
+measureGates(const std::string &name)
 {
     const auto acc = accel::makeAccelerator(name);
     const rtl::Design &design = acc->design();
@@ -241,44 +239,41 @@ measureGates(const std::string &name, bool cache_on)
              cold_prepare),
          1.0, false});
 
-    if (cache_on) {
-        // Three repetitions of eight unique jobs, as the figures
-        // replay one job mix across grid cells. Side B runs right
-        // after side A, so it finds the cache side A filled.
-        const std::size_t unique_n =
-            std::min<std::size_t>(8, jobs.size());
-        std::vector<rtl::JobInput> dup;
-        for (int rep = 0; rep < 3; ++rep)
-            dup.insert(dup.end(), jobs.begin(), jobs.begin() + unique_n);
-        gates.push_back(
-            {"memo",
-             timeRatio(
-                 [&] {
-                     sim::JobCache::global().clear();
-                     sum += engine.prepare(dup, pred).back().cycles;
-                 },
-                 [&] { sum += engine.prepare(dup, pred).back().cycles; }),
-             1.0, false});
+    // Three repetitions of eight unique jobs, as the figures replay
+    // one job mix across grid cells. Side B runs right after side A,
+    // so it finds the cache side A filled.
+    const std::size_t unique_n = std::min<std::size_t>(8, jobs.size());
+    std::vector<rtl::JobInput> dup;
+    for (int rep = 0; rep < 3; ++rep)
+        dup.insert(dup.end(), jobs.begin(), jobs.begin() + unique_n);
+    gates.push_back(
+        {"memo",
+         timeRatio(
+             [&] {
+                 sim::JobCache::global().clear();
+                 sum += engine.prepare(dup, pred).back().cycles;
+             },
+             [&] { sum += engine.prepare(dup, pred).back().cycles; }),
+         1.0, false});
 
-        const auto sweep = [&](bool share) {
-            sim::clearSharedStreams();
-            sim::JobCache::global().clear();
-            for (const double deadline : {1.0 / 60.0, 0.5 / 60.0})
-                for (const double switch_time : {100e-6, 250e-6}) {
-                    sim::ExperimentOptions cell;
-                    cell.deadlineSeconds = deadline;
-                    cell.switchTimeSeconds = switch_time;
-                    cell.shareStreams = share;
-                    sim::Experiment exp(name, cell);
-                    sum += exp.runScheme(sim::Scheme::Prediction).switches;
-                }
-        };
-        gates.push_back({"sweep",
-                         timeRatio([&] { sweep(false); },
-                                   [&] { sweep(true); }),
-                         1.0, false});
+    const auto sweep = [&](bool share) {
         sim::clearSharedStreams();
-    }
+        sim::JobCache::global().clear();
+        for (const double deadline : {1.0 / 60.0, 0.5 / 60.0})
+            for (const double switch_time : {100e-6, 250e-6}) {
+                sim::ExperimentOptions cell;
+                cell.deadlineSeconds = deadline;
+                cell.switchTimeSeconds = switch_time;
+                cell.shareStreams = share;
+                sim::Experiment exp(name, cell);
+                sum += exp.runScheme(sim::Scheme::Prediction).switches;
+            }
+    };
+    gates.push_back({"sweep",
+                     timeRatio([&] { sweep(false); },
+                               [&] { sweep(true); }),
+                     1.0, false});
+    sim::clearSharedStreams();
 
     // Verification amortises against the cold prepare of the same
     // stream: both are one-time costs of standing a design up.
@@ -312,17 +307,14 @@ main(int argc, char **argv)
         return 1;
     }
 
-    const bool cache_on = sim::JobCache::enabledByEnv();
     const std::vector<std::string> names = accel::benchmarkNames();
     bool pass = true;
     out << "{\n"
         << "  \"generated_by\": \"bench_perf_pipeline\",\n"
-        << "  \"cache_enabled\": " << (cache_on ? "true" : "false")
-        << ",\n"
         << "  \"benchmarks\": [\n";
     for (std::size_t i = 0; i < names.size(); ++i) {
         std::cout << names[i] << ":" << std::flush;
-        const std::vector<Gate> gates = measureGates(names[i], cache_on);
+        const std::vector<Gate> gates = measureGates(names[i]);
         out << "    {\"name\": \"" << names[i] << "\", \"gates\": [\n";
         for (std::size_t g = 0; g < gates.size(); ++g) {
             const Gate &gate = gates[g];

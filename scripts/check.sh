@@ -1,9 +1,8 @@
 #!/bin/sh
 # Full local check: configure, build (warnings are errors), run the
-# test suite (with the job cache enabled and disabled), lint every
-# benchmark design, and smoke-run every bench binary. Set
-# CHECK_SANITIZE=1 for an additional ASan/UBSan pass. Each stage's
-# wall time is reported in a summary at the end.
+# test suite, lint every benchmark design, and smoke-run every bench
+# binary. Set CHECK_SANITIZE=1 for an additional ASan/UBSan pass.
+# Each stage's wall time is reported in a summary at the end.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -34,11 +33,8 @@ cmake -B build -G Ninja -DCMAKE_COMPILE_WARNING_AS_ERROR=ON
 stage "build"
 cmake --build build
 
-stage "tests (cache enabled)"
+stage "tests"
 ctest --test-dir build --output-on-failure
-
-stage "tests (PREDVFS_DISABLE_CACHE=1)"
-PREDVFS_DISABLE_CACHE=1 ctest --test-dir build --output-on-failure
 
 stage "design lint"
 build/examples/example_lint_design all

@@ -1356,24 +1356,6 @@ CompiledDesign::buildTaps(std::vector<FeatureSpec> specs)
 }
 
 std::size_t
-CompiledDesign::numStaticStates() const
-{
-    std::size_t n = 0;
-    for (const CFsm &fsm : cfsms) {
-        for (std::uint32_t s = 0; s < fsm.numStates; ++s) {
-            const CState &st = states[fsm.firstState + s];
-            std::uint64_t dwell = 0;
-            std::int64_t range = 0;
-            if (staticDwell(st, dwell, range) &&
-                (st.terminal || staticNext(st) >= 0)) {
-                ++n;
-            }
-        }
-    }
-    return n;
-}
-
-std::size_t
 CompiledDesign::numSpecialised() const
 {
     std::size_t n = 0;

@@ -137,22 +137,6 @@ struct BatchStats
             ? 0.0
             : static_cast<double>(miss) / static_cast<double>(checks);
     }
-
-    /** Fraction of lane-items that ran SoA-vectorised to completion. */
-    double
-    laneOccupancy() const
-    {
-        std::uint64_t lock = 0;
-        std::uint64_t total = 0;
-        for (const BatchFsmStats &f : fsms) {
-            lock += f.lockstepLaneItems;
-            total += f.lockstepLaneItems + f.demotedLaneItems +
-                f.scalarLaneItems;
-        }
-        return total == 0
-            ? 1.0
-            : static_cast<double>(lock) / static_cast<double>(total);
-    }
 };
 
 /**
@@ -353,10 +337,6 @@ class CompiledDesign
 
     /** Programs specialised to a literal or single field read. */
     std::size_t numSpecialised() const;
-
-    /** States folded into precompiled segments (dwell and successor
-     *  both compile-time constant). */
-    std::size_t numStaticStates() const;
 
     /** FSMs whose full walk is statically routed — the ones the
      *  lockstep batch kernel executes as SoA sweeps. */

@@ -46,8 +46,30 @@ serverOptionsFromEnv(ServerOptions base)
     return base;
 }
 
+ServeCounters &
+ServeCounters::operator+=(const ServeCounters &other)
+{
+    requests += other.requests;
+    cacheHits += other.cacheHits;
+    coalesced += other.coalesced;
+    simulated += other.simulated;
+    busy += other.busy;
+    expired += other.expired;
+    shutdown += other.shutdown;
+    batches += other.batches;
+    batchJobs += other.batchJobs;
+    return *this;
+}
+
+bool
+ServeCounters::balanced() const
+{
+    return requests ==
+        cacheHits + coalesced + simulated + busy + expired + shutdown;
+}
+
 double
-StreamTelemetry::hitRate() const
+ServeCounters::hitRate() const
 {
     return requests == 0
         ? 0.0
@@ -56,15 +78,7 @@ StreamTelemetry::hitRate() const
 }
 
 double
-StreamTelemetry::meanBatchOccupancy() const
-{
-    return batches == 0
-        ? 0.0
-        : static_cast<double>(batchJobs) / static_cast<double>(batches);
-}
-
-double
-ShardTelemetry::meanBatchOccupancy() const
+ServeCounters::meanBatchOccupancy() const
 {
     return batches == 0
         ? 0.0
@@ -73,7 +87,7 @@ ShardTelemetry::meanBatchOccupancy() const
 
 namespace {
 
-/** Ring of recent service times; percentile queries copy and sort. */
+/** Ring of recent service times. */
 struct ServiceTimeRing
 {
     static constexpr std::size_t kCapacity = 4096;
@@ -89,38 +103,22 @@ struct ServiceTimeRing
             next = (next + 1) % kCapacity;
         }
     }
-
-    double percentile(double p) const
-    {
-        if (micros.empty())
-            return 0.0;
-        std::vector<double> sorted(micros);
-        const std::size_t k = std::min(
-            sorted.size() - 1,
-            static_cast<std::size_t>(
-                p * static_cast<double>(sorted.size() - 1) + 0.5));
-        std::nth_element(sorted.begin(),
-                         sorted.begin() + static_cast<std::ptrdiff_t>(k),
-                         sorted.end());
-        return sorted[static_cast<std::ptrdiff_t>(k)];
-    }
 };
 
-/** Counters of one served stream (all under one mutex). */
-struct TelemetryState
+/** The @p p quantile of @p micros, which it reorders. */
+double
+percentile(std::vector<double> &micros, double p)
 {
-    mutable std::mutex mu;
-    std::uint64_t requests = 0;
-    std::uint64_t cacheHits = 0;
-    std::uint64_t coalesced = 0;
-    std::uint64_t simulated = 0;
-    std::uint64_t busy = 0;
-    std::uint64_t expired = 0;
-    std::uint64_t shutdown = 0;
-    std::uint64_t batches = 0;
-    std::uint64_t batchJobs = 0;
-    ServiceTimeRing serviceTimes;
-};
+    if (micros.empty())
+        return 0.0;
+    const std::size_t k = std::min(
+        micros.size() - 1,
+        static_cast<std::size_t>(
+            p * static_cast<double>(micros.size() - 1) + 0.5));
+    const auto kth = micros.begin() + static_cast<std::ptrdiff_t>(k);
+    std::nth_element(micros.begin(), kth, micros.end());
+    return *kth;
+}
 
 struct PendingRequest;
 struct Shard;
@@ -131,30 +129,31 @@ struct Stream
     std::uint32_t id = 0;
     std::string name;
     std::shared_ptr<const accel::Accelerator> accel;
-    std::unique_ptr<power::VfModel> vf;
-    std::unique_ptr<power::OperatingPointTable> table;
-    std::unique_ptr<sim::SimulationEngine> engine;
+    sim::BenchmarkEngine setup;
     core::FlowResult flow;
     std::uint64_t streamKey = 0;
-    TelemetryState telem;
 
     /** The dispatcher shard this stream hashed to (streamKey %
      *  shards); set once at registration, before any request can
      *  reference the stream. */
     Shard *home = nullptr;
 
-    /** @name Bounded pending queue — guarded by home->mu. */
+    /** @name Bounded pending queue and telemetry — guarded by
+     *  home->mu. */
     /// @{
     std::deque<PendingRequest> pending;
     std::size_t peakDepth = 0;
+    ServeCounters counters;
+    ServiceTimeRing serviceTimes;
     /// @}
 };
 
 /**
  * One dispatcher shard: a disjoint set of streams, their pending
- * queues, and the thread that drains them.
- * Every mutable field is guarded by mu; the dispatcher thread is the
- * only consumer, readers are the producers. Each shard owns its own
+ * queues and counters, and the thread that drains them.
+ * Every mutable field, and every mutable field of its streams, is
+ * guarded by mu; the dispatcher thread is the only consumer, readers
+ * are the producers. Each shard owns its own
  * simulation pool because ThreadPool::run() is single-flight — two
  * shards must never share one.
  */
@@ -267,11 +266,11 @@ struct PredictionServer::Impl
     }
 
     // --- dispatcher shards ---------------------------------------
-    // Each stream's bounded deque (Stream::pending) is guarded by its
-    // home shard's mu, which also guards that shard's aggregate
-    // counters and stopping flag. Lock order where nesting occurs:
-    // streamMu, then a shard mu (telemetry); the hot enqueue/drain
-    // paths never nest. The vector itself is immutable after the
+    // Each stream's bounded deque, counters and service-time ring are
+    // guarded by its home shard's mu, which also guards that shard's
+    // gauges and stopping flag. Lock order where nesting occurs:
+    // streamMu, then a shard mu (registration, telemetry); the hot
+    // enqueue/drain paths never nest. The vector itself is immutable after the
     // constructor, so it is read without a lock.
     std::vector<std::unique_ptr<Shard>> shards;
     std::atomic<bool> stopped{false};
@@ -410,25 +409,22 @@ struct PredictionServer::Impl
                 request.expiry = request.enqueued +
                     std::chrono::microseconds(predict.deadlineMicros);
 
-            // Counted as a request whatever happens next: the
-            // telemetry identity (requests == hits + coalesced +
-            // simulated + busy + expired + shutdown) accounts for
-            // every accepted Predict, including the ones backpressure
-            // or a stopping server turns away.
-            {
-                std::lock_guard<std::mutex> lock(stream->telem.mu);
-                ++stream->telem.requests;
-            }
-
+            // Counted as a request whatever happens next, and as busy
+            // or shutdown when turned away, before the answer goes
+            // out (ServeCounters::balanced).
             Shard &shard = *stream->home;
             bool stopping = false;
             bool rejected = false;
             {
                 std::lock_guard<std::mutex> lock(shard.mu);
+                ServeCounters &counters = stream->counters;
+                ++counters.requests;
                 if (shard.stopping) {
                     stopping = true;
+                    ++counters.shutdown;
                 } else if (stream->pending.size() >= opts.queueBound) {
                     rejected = true;
+                    ++counters.busy;
                 } else {
                     stream->pending.push_back(std::move(request));
                     stream->peakDepth = std::max(
@@ -441,11 +437,6 @@ struct PredictionServer::Impl
             // Replies are written after shard.mu is released: a slow
             // peer must not stall the shard's other producers.
             if (stopping) {
-                {
-                    std::lock_guard<std::mutex> lock(
-                        stream->telem.mu);
-                    ++stream->telem.shutdown;
-                }
                 writeError(conn, ErrorCode::ShuttingDown,
                            predict.requestId, "server stopping");
                 return false;
@@ -455,11 +446,6 @@ struct PredictionServer::Impl
                 // and the client is told when a retry is worth it:
                 // after any accumulation window, plus 100 µs of slack
                 // (a floor under the client's own backoff).
-                {
-                    std::lock_guard<std::mutex> lock(
-                        stream->telem.mu);
-                    ++stream->telem.busy;
-                }
                 writeError(conn, ErrorCode::Busy, predict.requestId,
                            "stream '" + stream->name +
                                "' queue is full",
@@ -601,15 +587,13 @@ struct PredictionServer::Impl
                 std::lock_guard<std::mutex> lock(shard.mu);
                 taken.swap(stream->pending);
                 shard.totalPending -= taken.size();
+                if (shutting_down)
+                    stream->counters.shutdown += taken.size();
             }
             if (taken.empty())
                 continue;
             found_work = true;
             if (shutting_down) {
-                {
-                    std::lock_guard<std::mutex> lock(stream->telem.mu);
-                    stream->telem.shutdown += taken.size();
-                }
                 for (PendingRequest &request : taken) {
                     writeError(*request.conn, ErrorCode::ShuttingDown,
                                request.requestId, "server stopping");
@@ -644,8 +628,8 @@ struct PredictionServer::Impl
         }
         if (!expired.empty()) {
             {
-                std::lock_guard<std::mutex> lock(stream.telem.mu);
-                stream.telem.expired += expired.size();
+                std::lock_guard<std::mutex> lock(stream.home->mu);
+                stream.counters.expired += expired.size();
             }
             for (PendingRequest *request : expired) {
                 writeError(*request->conn, ErrorCode::DeadlineExceeded,
@@ -675,25 +659,24 @@ struct PredictionServer::Impl
 
         sim::PrepareStats prep;
         const std::vector<core::PreparedJob> prepared =
-            stream.engine->prepare(jobs, stream.flow.predictor.get(),
-                                   nullptr, stream.home->pool.get(),
-                                   &prep);
+            stream.setup.engine->prepare(
+                jobs, stream.flow.predictor.get(), nullptr,
+                stream.home->pool.get(), &prep);
 
-        // Counters land before the replies go out: a client that has
-        // received every reply of its burst must find the telemetry
-        // identity (requests == hits + coalesced + simulated + busy
-        // + expired + shutdown) already holding for those requests.
+        // Counters land before the replies go out, so a client that
+        // has received every reply of its burst finds them balanced.
         // requests itself was counted at accept time, in the reader.
         {
             const Clock::time_point now = Clock::now();
-            std::lock_guard<std::mutex> lock(stream.telem.mu);
-            stream.telem.cacheHits += prep.cacheHits;
-            stream.telem.coalesced += prep.coalesced;
-            stream.telem.simulated += prep.simulated;
-            stream.telem.batches += 1;
-            stream.telem.batchJobs += end - begin;
+            std::lock_guard<std::mutex> lock(stream.home->mu);
+            ServeCounters &counters = stream.counters;
+            counters.cacheHits += prep.cacheHits;
+            counters.coalesced += prep.coalesced;
+            counters.simulated += prep.simulated;
+            counters.batches += 1;
+            counters.batchJobs += end - begin;
             for (std::size_t i = begin; i < end; ++i) {
-                stream.telem.serviceTimes.push(
+                stream.serviceTimes.push(
                     std::chrono::duration<double, std::micro>(
                         now - group[i]->enqueued)
                         .count());
@@ -721,22 +704,15 @@ struct PredictionServer::Impl
         StreamTelemetry t;
         t.benchmark = stream.name;
         t.shard = stream.home->index;
+        std::vector<double> service;
         {
             std::lock_guard<std::mutex> lock(stream.home->mu);
+            static_cast<ServeCounters &>(t) = stream.counters;
             t.peakQueueDepth = stream.peakDepth;
+            service = stream.serviceTimes.micros;
         }
-        std::lock_guard<std::mutex> lock(stream.telem.mu);
-        t.requests = stream.telem.requests;
-        t.cacheHits = stream.telem.cacheHits;
-        t.coalesced = stream.telem.coalesced;
-        t.simulated = stream.telem.simulated;
-        t.busy = stream.telem.busy;
-        t.expired = stream.telem.expired;
-        t.shutdown = stream.telem.shutdown;
-        t.batches = stream.telem.batches;
-        t.batchJobs = stream.telem.batchJobs;
-        t.p50ServiceMicros = stream.telem.serviceTimes.percentile(0.50);
-        t.p99ServiceMicros = stream.telem.serviceTimes.percentile(0.99);
+        t.p50ServiceMicros = percentile(service, 0.50);
+        t.p99ServiceMicros = percentile(service, 0.99);
         return t;
     }
 
@@ -747,33 +723,31 @@ struct PredictionServer::Impl
         for (const auto &shard : shards) {
             ShardTelemetry t;
             t.index = shard->index;
-            std::vector<Stream *> snapshot;
-            {
-                std::lock_guard<std::mutex> lock(shard->mu);
-                snapshot = shard->streams;
-                t.peakQueueDepth = shard->peakPending;
-                t.drains = shard->drains;
-            }
-            t.streams = snapshot.size();
-            // Counter sums, one stream lock at a time (never nested
-            // inside shard->mu): a stream's counters never move
-            // between shards, so the per-shard identity is exactly
-            // the sum of its streams' identities.
-            for (const Stream *stream : snapshot) {
-                std::lock_guard<std::mutex> lock(stream->telem.mu);
-                t.requests += stream->telem.requests;
-                t.cacheHits += stream->telem.cacheHits;
-                t.coalesced += stream->telem.coalesced;
-                t.simulated += stream->telem.simulated;
-                t.busy += stream->telem.busy;
-                t.expired += stream->telem.expired;
-                t.shutdown += stream->telem.shutdown;
-                t.batches += stream->telem.batches;
-                t.batchJobs += stream->telem.batchJobs;
-            }
+            std::lock_guard<std::mutex> lock(shard->mu);
+            t.streams = shard->streams.size();
+            t.peakQueueDepth = shard->peakPending;
+            t.drains = shard->drains;
+            for (const Stream *stream : shard->streams)
+                t += stream->counters;
             out.push_back(std::move(t));
         }
         return out;
+    }
+
+    /** The nine counters and their mean occupancy, as JSON members. */
+    static void writeCounters(std::ostream &os, const ServeCounters &c)
+    {
+        os << "      \"requests\": " << c.requests << ",\n"
+           << "      \"cache_hits\": " << c.cacheHits << ",\n"
+           << "      \"coalesced\": " << c.coalesced << ",\n"
+           << "      \"simulated\": " << c.simulated << ",\n"
+           << "      \"busy\": " << c.busy << ",\n"
+           << "      \"expired\": " << c.expired << ",\n"
+           << "      \"shutdown\": " << c.shutdown << ",\n"
+           << "      \"batches\": " << c.batches << ",\n"
+           << "      \"batch_jobs\": " << c.batchJobs << ",\n"
+           << "      \"mean_batch_occupancy\": "
+           << c.meanBatchOccupancy();
     }
 
     std::string telemetryJson() const
@@ -801,9 +775,6 @@ struct PredictionServer::Impl
            << "    \"queue_depth\": " << depth << ",\n"
            << "    \"peak_queue_depth\": " << peak << ",\n"
            << "    \"job_cache\": {\n"
-           << "      \"enabled\": "
-           << (sim::JobCache::enabledByEnv() ? "true" : "false")
-           << ",\n"
            << "      \"hits\": " << cache.hits << ",\n"
            << "      \"misses\": " << cache.misses << ",\n"
            << "      \"entries\": " << cache.entries << ",\n"
@@ -821,19 +792,10 @@ struct PredictionServer::Impl
                << "      \"streams\": " << t.streams << ",\n"
                << "      \"peak_queue_depth\": " << t.peakQueueDepth
                << ",\n"
-               << "      \"drains\": " << t.drains << ",\n"
-               << "      \"requests\": " << t.requests << ",\n"
-               << "      \"cache_hits\": " << t.cacheHits << ",\n"
-               << "      \"coalesced\": " << t.coalesced << ",\n"
-               << "      \"simulated\": " << t.simulated << ",\n"
-               << "      \"busy\": " << t.busy << ",\n"
-               << "      \"expired\": " << t.expired << ",\n"
-               << "      \"shutdown\": " << t.shutdown << ",\n"
-               << "      \"batches\": " << t.batches << ",\n"
-               << "      \"batch_jobs\": " << t.batchJobs << ",\n"
-               << "      \"mean_batch_occupancy\": "
-               << t.meanBatchOccupancy() << "\n    }"
-               << (i + 1 < shard_snaps.size() ? "," : "") << "\n";
+               << "      \"drains\": " << t.drains << ",\n";
+            writeCounters(os, t);
+            os << "\n    }" << (i + 1 < shard_snaps.size() ? "," : "")
+               << "\n";
         }
         os << "  ],\n"
            << "  \"streams\": [\n";
@@ -852,20 +814,11 @@ struct PredictionServer::Impl
                << "      \"benchmark\": \"" << t.benchmark << "\",\n"
                << "      \"stream_key\": " << keys[i] << ",\n"
                << "      \"shard\": " << t.shard << ",\n"
-               << "      \"requests\": " << t.requests << ",\n"
-               << "      \"cache_hits\": " << t.cacheHits << ",\n"
-               << "      \"coalesced\": " << t.coalesced << ",\n"
-               << "      \"simulated\": " << t.simulated << ",\n"
-               << "      \"busy\": " << t.busy << ",\n"
-               << "      \"expired\": " << t.expired << ",\n"
-               << "      \"shutdown\": " << t.shutdown << ",\n"
                << "      \"peak_queue_depth\": " << t.peakQueueDepth
-               << ",\n"
+               << ",\n";
+            writeCounters(os, t);
+            os << ",\n"
                << "      \"hit_rate\": " << t.hitRate() << ",\n"
-               << "      \"batches\": " << t.batches << ",\n"
-               << "      \"batch_jobs\": " << t.batchJobs << ",\n"
-               << "      \"mean_batch_occupancy\": "
-               << t.meanBatchOccupancy() << ",\n"
                << "      \"p50_service_us\": " << t.p50ServiceMicros
                << ",\n"
                << "      \"p99_service_us\": " << t.p99ServiceMicros
@@ -946,39 +899,13 @@ PredictionServer::registerBenchmark(const std::string &name)
     auto stream = std::make_unique<Stream>();
     stream->name = name;
     stream->accel = accel::makeAccelerator(name);
-
-    const double f0 = stream->accel->nominalFrequencyHz();
     const sim::ExperimentOptions &eopts = opts.experiment;
-    if (eopts.platform == sim::Platform::Asic) {
-        stream->vf = std::make_unique<power::VfModel>(
-            power::VfModel::asic65nm(f0));
-        stream->table = std::make_unique<power::OperatingPointTable>(
-            power::OperatingPointTable::asic(*stream->vf,
-                                             /*with_boost=*/true));
-    } else {
-        stream->vf = std::make_unique<power::VfModel>(
-            power::VfModel::fpga28nm(f0));
-        stream->table = std::make_unique<power::OperatingPointTable>(
-            power::OperatingPointTable::fpga(*stream->vf,
-                                             /*with_boost=*/true));
-    }
-
-    sim::EngineConfig engine_config;
-    engine_config.deadlineSeconds = eopts.deadlineSeconds;
-    engine_config.switchTimeSeconds = eopts.switchTimeSeconds;
-    stream->engine = std::make_unique<sim::SimulationEngine>(
-        *stream->accel, *stream->table, engine_config,
-        sim::platformEnergyParams(stream->accel->energyParams(),
-                                  eopts.platform));
-
-    const workload::BenchmarkWorkload work =
-        workload::makeWorkload(*stream->accel, eopts.seed);
-    core::FlowConfig flow_config = eopts.flowConfig;
-    flow_config.sliceOptions = eopts.sliceOptions;
-    stream->flow = core::buildPredictor(stream->accel->design(),
-                                        work.train, flow_config);
+    stream->setup = sim::makeBenchmarkEngine(*stream->accel, eopts);
+    stream->flow = sim::trainPredictor(
+        *stream->accel,
+        workload::makeWorkload(*stream->accel, eopts.seed).train, eopts);
     stream->streamKey =
-        stream->engine->streamKey(stream->flow.predictor.get());
+        stream->setup.engine->streamKey(stream->flow.predictor.get());
     // Fingerprint-hash shard assignment: stable for the same design +
     // predictor across restarts and across server processes, which is
     // what lets N processes split the fingerprint space later.
@@ -1016,12 +943,6 @@ PredictionServer::connectLoopback()
     return std::move(client);
 }
 
-void
-PredictionServer::listenUnix(const std::string &path)
-{
-    listen(path);
-}
-
 std::string
 PredictionServer::listen(const std::string &address)
 {
@@ -1040,16 +961,6 @@ void
 PredictionServer::stop()
 {
     impl->stop();
-}
-
-std::vector<std::string>
-PredictionServer::streamNames() const
-{
-    std::vector<std::string> names;
-    std::lock_guard<std::mutex> lock(impl->streamMu);
-    for (const auto &s : impl->streams)
-        names.push_back(s->name);
-    return names;
 }
 
 StreamTelemetry

@@ -17,8 +17,8 @@
  * request, so overload is explicit backpressure rather than unbounded
  * memory. Dispatch is *sharded*: each of the N dispatcher shards owns
  * the disjoint set of streams whose fingerprint hashes to it
- * (streamKey % shards), with its own bounded queues, wakeup, and
- * telemetry — one hot benchmark can saturate its shard without
+ * (streamKey % shards), with its own lock, bounded queues, wakeup,
+ * and counters — one hot benchmark can saturate its shard without
  * head-of-line-blocking streams on the others. Each shard's
  * dispatcher takes everything queued the moment a request lands, so
  * a lone request never waits for company: batches form *naturally*,
@@ -36,10 +36,10 @@
  * within a stream, so a reply is byte-identical however requests were
  * coalesced or sharded.
  *
- * Telemetry: per-stream counters (requests, cache hits, in-batch
- * coalescing, fresh simulations, batches, occupancy, queue depth,
- * p50/p99 service time) are readable in-process and served over the
- * wire as a JSON document via the Stats request.
+ * Telemetry: each stream's ServeCounters, queue gauge and service-time
+ * ring sit under its shard's lock beside its queue, so a snapshot
+ * reads them at one instant. They are readable in-process and served
+ * over the wire as a JSON document via the Stats request.
  */
 
 #ifndef PREDVFS_SERVE_SERVER_HH
@@ -121,17 +121,20 @@ struct ServerOptions
  */
 ServerOptions serverOptionsFromEnv(ServerOptions base = {});
 
-/** Snapshot of one stream's serving counters. */
-struct StreamTelemetry
+/**
+ * The nine serving counters, kept per stream and summed per shard.
+ *
+ * Every accepted Predict is counted in requests when the server takes
+ * it, and in exactly one answer counter before its answer goes out:
+ * cacheHits, coalesced, simulated, busy, expired or shutdown. So once
+ * every reply of a burst has arrived, requests == cacheHits +
+ * coalesced + simulated + busy + expired + shutdown (balanced()), per
+ * stream, per shard and in aggregate, because a stream's requests
+ * never leave its shard.
+ */
+struct ServeCounters
 {
-    std::string benchmark;
-    unsigned shard = 0;            //!< Dispatcher shard owning it.
-    std::uint64_t requests = 0;    //!< Every accepted Predict; the
-                                   //!< identity requests == cacheHits
-                                   //!< + coalesced + simulated + busy
-                                   //!< + expired + shutdown holds
-                                   //!< once all of a burst's replies
-                                   //!< are out.
+    std::uint64_t requests = 0;    //!< Every accepted Predict.
     std::uint64_t cacheHits = 0;   //!< Answered from the JobCache.
     std::uint64_t coalesced = 0;   //!< In-batch duplicate fan-out.
     std::uint64_t simulated = 0;   //!< Fresh simulations.
@@ -142,9 +145,11 @@ struct StreamTelemetry
                                    //!< stopping server.
     std::uint64_t batches = 0;     //!< prepare() calls issued.
     std::uint64_t batchJobs = 0;   //!< Sum of drained batch sizes.
-    std::size_t peakQueueDepth = 0;  //!< This stream's deepest queue.
-    double p50ServiceMicros = 0.0;
-    double p99ServiceMicros = 0.0;
+
+    ServeCounters &operator+=(const ServeCounters &other);
+
+    /** The telemetry identity: every request has been answered once. */
+    bool balanced() const;
 
     /** Requests answered without fresh simulation / requests. */
     double hitRate() const;
@@ -153,31 +158,25 @@ struct StreamTelemetry
     double meanBatchOccupancy() const;
 };
 
-/**
- * Snapshot of one dispatcher shard: its queue gauges plus the sum of
- * its streams' counters. The telemetry identity (requests ==
- * cacheHits + coalesced + simulated + busy + expired + shutdown)
- * holds per shard exactly as it does per stream and in aggregate,
- * because a stream's requests never leave its shard.
- */
-struct ShardTelemetry
+/** Snapshot of one stream: its counters, queue gauge and service
+ *  times, read at one instant. */
+struct StreamTelemetry : ServeCounters
+{
+    std::string benchmark;
+    unsigned shard = 0;              //!< Dispatcher shard owning it.
+    std::size_t peakQueueDepth = 0;  //!< This stream's deepest queue.
+    double p50ServiceMicros = 0.0;
+    double p99ServiceMicros = 0.0;
+};
+
+/** Snapshot of one dispatcher shard: its queue gauges plus the sum of
+ *  its streams' counters. */
+struct ShardTelemetry : ServeCounters
 {
     unsigned index = 0;
     std::size_t streams = 0;         //!< Streams hashed to this shard.
     std::size_t peakQueueDepth = 0;  //!< Peak pending across them.
     std::uint64_t drains = 0;        //!< Dispatcher sweeps with work.
-    std::uint64_t requests = 0;
-    std::uint64_t cacheHits = 0;
-    std::uint64_t coalesced = 0;
-    std::uint64_t simulated = 0;
-    std::uint64_t busy = 0;
-    std::uint64_t expired = 0;
-    std::uint64_t shutdown = 0;
-    std::uint64_t batches = 0;
-    std::uint64_t batchJobs = 0;
-
-    /** Mean jobs per drained batch on this shard. */
-    double meanBatchOccupancy() const;
 };
 
 /** The serving process: registered streams + transports + dispatcher. */
@@ -203,9 +202,6 @@ class PredictionServer
      */
     std::unique_ptr<Connection> connectLoopback();
 
-    /** Serve a Unix-domain socket at @p path (accept loop thread). */
-    void listenUnix(const std::string &path);
-
     /**
      * Serve @p address, dispatching on its scheme ("tcp://host:port"
      * or a Unix socket path) via makeListener(). @return the concrete
@@ -225,7 +221,6 @@ class PredictionServer
     /** @name In-process introspection (tests, goldens, benches) */
     /// @{
     const ServerOptions &options() const { return opts; }
-    std::vector<std::string> streamNames() const;
     StreamTelemetry telemetry(const std::string &benchmark) const;
     std::uint64_t streamKeyOf(const std::string &benchmark) const;
 

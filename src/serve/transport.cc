@@ -630,11 +630,5 @@ connectTcp(const std::string &, std::uint16_t, int)
 
 #endif  // PREDVFS_HAVE_UNIX_SOCKETS
 
-std::unique_ptr<Connection>
-connectUnix(const std::string &path, int timeout_ms)
-{
-    return connectWithRetry(path, timeout_ms);
-}
-
 } // namespace serve
 } // namespace predvfs

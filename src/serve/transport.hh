@@ -214,10 +214,6 @@ std::unique_ptr<Listener> makeListener(const std::string &address);
 std::unique_ptr<Connection> connectWithRetry(const std::string &path,
                                              int timeout_ms = 0);
 
-/** Historical name for connectWithRetry(). */
-std::unique_ptr<Connection> connectUnix(const std::string &path,
-                                        int timeout_ms = 0);
-
 /**
  * Connect to a TCP serving socket under the same retry/timeout
  * discipline as connectWithRetry() — timeout_ms = 0 is one

@@ -112,28 +112,8 @@ SimulationEngine::prepare(const std::vector<rtl::JobInput> &jobs,
             sliceInto(job, record);
     };
 
-    if (!JobCache::enabledByEnv()) {
-        // The unmemoised reference path: simulate every job.
-        if (pool && pool->workers() > 1 && jobs.size() > 1) {
-            pool->run(jobs.size(), [&](unsigned, std::size_t i) {
-                fill(jobs[i], prepared[i]);
-            });
-        } else {
-            for (std::size_t i = 0; i < jobs.size(); ++i)
-                fill(jobs[i], prepared[i]);
-        }
-
-        if (faults)
-            faults->applyPrepareFaults(prepared);
-        if (stats) {
-            stats->jobs = jobs.size();
-            stats->simulated = jobs.size();
-        }
-        return prepared;
-    }
-
-    // Memoised path. Phase 1 (serial): probe the global cache once
-    // per job and deduplicate the misses within this batch, keeping
+    // Phase 1 (serial): probe the global cache once per job and
+    // deduplicate the misses within this batch, keeping
     // first-occurrence order. Serial probing makes the cache's LRU
     // history a pure function of the job sequence — the worker count
     // only shards phase 2, which touches no shared state.

@@ -95,8 +95,7 @@ class SimulationEngine
      * through CompiledDesign::runBatch, or through the scalar run()
      * per job when only one or two jobs miss (below the measured
      * crossover the batch kernel is slower). All of this is
-     * bit-identical to simulating every job from scratch; set
-     * PREDVFS_DISABLE_CACHE=1 to run the unmemoised path instead.
+     * bit-identical to simulating every job from scratch.
      *
      * @param faults Optional fault schedule; its prepare-stage effects
      *        (readout corruption, slice stalls, model corruption, OOD
@@ -115,8 +114,7 @@ class SimulationEngine
      *        ordered, so the LRU history is deterministic too).
      * @param stats Optional counters describing how the call was
      *        answered (cache hits, in-batch duplicates, fresh
-     *        simulations). With the cache disabled every job counts
-     *        as simulated.
+     *        simulations).
      */
     std::vector<core::PreparedJob>
     prepare(const std::vector<rtl::JobInput> &jobs,

@@ -6,13 +6,11 @@
 #include <sstream>
 
 #include "accel/registry.hh"
-#include "sim/job_cache.hh"
 #include "core/guarded_controller.hh"
 #include "core/oracle_controller.hh"
 #include "core/predictive_controller.hh"
 #include "core/table_controller.hh"
 #include "util/logging.hh"
-#include "util/thread_pool.hh"
 
 namespace predvfs {
 namespace sim {
@@ -100,6 +98,46 @@ platformEnergyParams(power::EnergyParams params, Platform platform)
     return params;
 }
 
+BenchmarkEngine
+makeBenchmarkEngine(const accel::Accelerator &accelerator,
+                    const ExperimentOptions &options)
+{
+    BenchmarkEngine b;
+    const double f0 = accelerator.nominalFrequencyHz();
+    if (options.platform == Platform::Asic) {
+        b.vf = std::make_unique<power::VfModel>(
+            power::VfModel::asic65nm(f0));
+        b.table = std::make_unique<power::OperatingPointTable>(
+            power::OperatingPointTable::asic(*b.vf, /*with_boost=*/true));
+    } else {
+        b.vf = std::make_unique<power::VfModel>(
+            power::VfModel::fpga28nm(f0));
+        b.table = std::make_unique<power::OperatingPointTable>(
+            power::OperatingPointTable::fpga(*b.vf, /*with_boost=*/true));
+    }
+
+    EngineConfig engine_config;
+    engine_config.deadlineSeconds = options.deadlineSeconds;
+    engine_config.switchTimeSeconds = options.switchTimeSeconds;
+
+    // The engine's energy model follows the platform.
+    b.engine = std::make_unique<SimulationEngine>(
+        accelerator, *b.table, engine_config,
+        platformEnergyParams(accelerator.energyParams(),
+                             options.platform));
+    return b;
+}
+
+core::FlowResult
+trainPredictor(const accel::Accelerator &accelerator,
+               const std::vector<rtl::JobInput> &train,
+               const ExperimentOptions &options)
+{
+    core::FlowConfig flow_config = options.flowConfig;
+    flow_config.sliceOptions = options.sliceOptions;
+    return core::buildPredictor(accelerator.design(), train, flow_config);
+}
+
 void
 clearSharedStreams()
 {
@@ -109,32 +147,10 @@ clearSharedStreams()
 
 Experiment::Experiment(const std::string &benchmark,
                        ExperimentOptions options)
-    : opts(std::move(options))
+    : opts(std::move(options)),
+      accelPtr(accel::makeAccelerator(benchmark)),
+      setup(makeBenchmarkEngine(*accelPtr, opts))
 {
-    accelPtr = accel::makeAccelerator(benchmark);
-
-    const double f0 = accelPtr->nominalFrequencyHz();
-    if (opts.platform == Platform::Asic) {
-        vf = std::make_unique<power::VfModel>(
-            power::VfModel::asic65nm(f0));
-        opTable = std::make_unique<power::OperatingPointTable>(
-            power::OperatingPointTable::asic(*vf, /*with_boost=*/true));
-    } else {
-        vf = std::make_unique<power::VfModel>(
-            power::VfModel::fpga28nm(f0));
-        opTable = std::make_unique<power::OperatingPointTable>(
-            power::OperatingPointTable::fpga(*vf, /*with_boost=*/true));
-    }
-
-    EngineConfig engine_config;
-    engine_config.deadlineSeconds = opts.deadlineSeconds;
-    engine_config.switchTimeSeconds = opts.switchTimeSeconds;
-
-    // The engine's energy model follows the platform.
-    simEngine = std::make_unique<SimulationEngine>(
-        *accelPtr, *opTable, engine_config,
-        platformEnergyParams(accelPtr->energyParams(), opts.platform));
-
     // Offline flow + stream preparation, shared across cells. The
     // records are independent of the engine config, so whichever
     // cell's engine runs prepare() first produces the stream every
@@ -142,33 +158,17 @@ Experiment::Experiment(const std::string &benchmark,
     const auto build = [&]() -> std::shared_ptr<const PreparedStream> {
         auto s = std::make_shared<PreparedStream>();
         s->work = workload::makeWorkload(*accelPtr, opts.seed);
-        core::FlowConfig flow_config = opts.flowConfig;
-        flow_config.sliceOptions = opts.sliceOptions;
-        s->flow = core::buildPredictor(accelPtr->design(),
-                                       s->work.train, flow_config);
-        if (opts.prepareThreads > 1) {
-            util::ThreadPool pool(opts.prepareThreads);
-            s->trainJobs = simEngine->prepare(
-                s->work.train, s->flow.predictor.get(), nullptr, &pool,
-                &s->trainPrepare);
-            s->testJobs = simEngine->prepare(
-                s->work.test, s->flow.predictor.get(), nullptr, &pool,
-                &s->testPrepare);
-        } else {
-            s->trainJobs = simEngine->prepare(
-                s->work.train, s->flow.predictor.get(), nullptr,
-                nullptr, &s->trainPrepare);
-            s->testJobs = simEngine->prepare(
-                s->work.test, s->flow.predictor.get(), nullptr,
-                nullptr, &s->testPrepare);
-        }
+        s->flow = trainPredictor(*accelPtr, s->work.train, opts);
+        s->trainJobs = setup.engine->prepare(s->work.train,
+                                             s->flow.predictor.get());
+        s->testJobs = setup.engine->prepare(s->work.test,
+                                            s->flow.predictor.get());
         return s;
     };
 
     // A custom featureFilter has no content identity a key could
     // capture; such experiments always build privately.
-    const bool share = opts.shareStreams && !opts.flowConfig.featureFilter
-        && JobCache::enabledByEnv();
+    const bool share = opts.shareStreams && !opts.flowConfig.featureFilter;
     if (!share) {
         stream = build();
         return;
@@ -207,7 +207,7 @@ Experiment::pidConfig()
         std::vector<double> nominal;
         nominal.reserve(stream->trainJobs.size());
         for (const auto &job : stream->trainJobs)
-            nominal.push_back(simEngine->nominalSeconds(job));
+            nominal.push_back(setup.engine->nominalSeconds(job));
         tunedPid =
             core::PidController::tune(nominal, opts.pidMargin);
     }
@@ -227,42 +227,42 @@ Experiment::makeController(Scheme scheme)
     switch (scheme) {
       case Scheme::Baseline:
         return std::make_unique<core::ConstantController>(
-            opTable->nominalIndex());
+            setup.table->nominalIndex());
       case Scheme::Pid:
         return std::make_unique<core::PidController>(
-            *opTable, f0, dvfs, pidConfig());
+            *setup.table, f0, dvfs, pidConfig());
       case Scheme::Table: {
         std::vector<std::pair<std::size_t, double>> profile;
         profile.reserve(stream->trainJobs.size());
         for (const auto &job : stream->trainJobs)
             profile.emplace_back(job.input->items.size(),
-                                 simEngine->nominalSeconds(job));
+                                 setup.engine->nominalSeconds(job));
         core::DvfsModelConfig table_dvfs = dvfs;
         table_dvfs.marginFraction = 0.0;  // Worst case is the margin.
         return std::make_unique<core::TableController>(
-            *opTable, f0, table_dvfs, profile);
+            *setup.table, f0, table_dvfs, profile);
       }
       case Scheme::Prediction:
         return std::make_unique<core::PredictiveController>(
-            *opTable, f0, dvfs);
+            *setup.table, f0, dvfs);
       case Scheme::PredictionNoOverhead: {
         core::DvfsModelConfig no_ovh = dvfs;
         no_ovh.ignoreOverheads = true;
         return std::make_unique<core::PredictiveController>(
-            *opTable, f0, no_ovh);
+            *setup.table, f0, no_ovh);
       }
       case Scheme::PredictionBoost: {
         core::DvfsModelConfig boost = dvfs;
         boost.allowBoost = true;
         return std::make_unique<core::PredictiveController>(
-            *opTable, f0, boost);
+            *setup.table, f0, boost);
       }
       case Scheme::Oracle:
         return std::make_unique<core::OracleController>(
-            *opTable, f0, dvfs);
+            *setup.table, f0, dvfs);
       case Scheme::GuardedPrediction:
         return std::make_unique<core::GuardedPredictiveController>(
-            *opTable, f0, dvfs, pidConfig());
+            *setup.table, f0, dvfs, pidConfig());
     }
     util::panic("unknown scheme");
     return nullptr;
@@ -278,7 +278,7 @@ Experiment::runScheme(Scheme scheme, std::vector<JobTrace> *trace)
     }
     auto controller = makeController(scheme);
     const RunMetrics metrics =
-        simEngine->run(*controller, stream->testJobs, trace);
+        setup.engine->run(*controller, stream->testJobs, trace);
     cache[scheme] = metrics;
     return metrics;
 }
@@ -341,16 +341,11 @@ Experiment::meanSliceEnergyFraction() const
 std::vector<MatrixCell>
 runExperimentMatrix(const std::vector<std::string> &benchmarks,
                     const std::vector<Scheme> &schemes,
-                    const ExperimentOptions &options,
-                    util::ThreadPool *pool)
+                    const ExperimentOptions &options)
 {
     std::vector<MatrixCell> cells(benchmarks.size() * schemes.size());
 
-    // One unit of work = one benchmark: the Experiment (flow training,
-    // stream preparation) dominates, and its scheme runs share caches.
-    // Each worker writes only its benchmark's row, keeping the output
-    // independent of sharding.
-    const auto runRow = [&](std::size_t b) {
+    for (std::size_t b = 0; b < benchmarks.size(); ++b) {
         Experiment exp(benchmarks[b], options);
         for (std::size_t s = 0; s < schemes.size(); ++s) {
             MatrixCell &cell = cells[b * schemes.size() + s];
@@ -359,14 +354,6 @@ runExperimentMatrix(const std::vector<std::string> &benchmarks,
             cell.metrics = exp.runScheme(schemes[s]);
             cell.normalizedEnergy = exp.normalizedEnergy(schemes[s]);
         }
-    };
-
-    if (pool && pool->workers() > 1) {
-        pool->run(benchmarks.size(),
-                  [&](unsigned, std::size_t b) { runRow(b); });
-    } else {
-        for (std::size_t b = 0; b < benchmarks.size(); ++b)
-            runRow(b);
     }
     return cells;
 }

@@ -45,8 +45,7 @@ const char *schemeName(Scheme scheme);
 /**
  * Adjust an accelerator's energy calibration for the implementation
  * platform (FPGA fabric burns more switched capacitance and leakage
- * than the 65 nm ASIC). Shared by Experiment and the serving layer's
- * stream builder so both construct identical engines.
+ * than the 65 nm ASIC).
  */
 power::EnergyParams platformEnergyParams(power::EnergyParams params,
                                          Platform platform);
@@ -64,13 +63,6 @@ struct ExperimentOptions
     core::FlowConfig flowConfig = {};//!< sliceOptions is overwritten.
 
     /**
-     * Workers for preparing the train/test streams (1 = serial).
-     * Prepared records are bit-identical at any value; this only
-     * changes wall-clock time.
-     */
-    unsigned prepareThreads = 1;
-
-    /**
      * Share the prepared stream (workload, trained predictor, job
      * records) across Experiment instances whose cells differ only in
      * deadline, switch time, margins, platform, or controller — the
@@ -84,6 +76,31 @@ struct ExperimentOptions
     bool shareStreams = true;
 };
 
+/** The V/f model, operating points and engine of one benchmark. */
+struct BenchmarkEngine
+{
+    std::unique_ptr<power::VfModel> vf;
+    std::unique_ptr<power::OperatingPointTable> table;
+    std::unique_ptr<SimulationEngine> engine;
+};
+
+/**
+ * Build @p accelerator's V/f model and operating points (boost
+ * included) for @p options' platform, and an engine over them with
+ * its deadline, switch time and platform energy. Experiment and the
+ * prediction server's streams are both built here and with
+ * trainPredictor(), so a served reply equals the experiment's record.
+ * @p accelerator must outlive the result.
+ */
+BenchmarkEngine makeBenchmarkEngine(const accel::Accelerator &accelerator,
+                                    const ExperimentOptions &options);
+
+/** Train @p accelerator's slice predictor on @p train with
+ *  @p options' flow settings and slice options. */
+core::FlowResult trainPredictor(const accel::Accelerator &accelerator,
+                                const std::vector<rtl::JobInput> &train,
+                                const ExperimentOptions &options);
+
 /**
  * The cell-invariant parts of one experiment: the workload, the
  * trained predictor, and the prepared job streams. Immutable once
@@ -96,8 +113,6 @@ struct PreparedStream
     core::FlowResult flow;
     std::vector<core::PreparedJob> trainJobs;
     std::vector<core::PreparedJob> testJobs;
-    PrepareStats trainPrepare;  //!< How the train stream was answered.
-    PrepareStats testPrepare;   //!< How the test stream was answered.
 };
 
 /** Drop every entry of the process-global prepared-stream registry
@@ -133,9 +148,9 @@ class Experiment
     {
         return *stream->flow.predictor;
     }
-    const power::VfModel &vfModel() const { return *vf; }
-    const power::OperatingPointTable &table() const { return *opTable; }
-    const SimulationEngine &engine() const { return *simEngine; }
+    const power::VfModel &vfModel() const { return *setup.vf; }
+    const power::OperatingPointTable &table() const { return *setup.table; }
+    const SimulationEngine &engine() const { return *setup.engine; }
     const std::vector<core::PreparedJob> &testPrepared() const
     {
         return stream->testJobs;
@@ -143,12 +158,6 @@ class Experiment
     const std::vector<core::PreparedJob> &trainPrepared() const
     {
         return stream->trainJobs;
-    }
-    /** Cache/simulation counters of this stream's preparation (zeros
-     *  when another Experiment built the shared stream first). */
-    const PrepareStats &testPrepareStats() const
-    {
-        return stream->testPrepare;
     }
     const ExperimentOptions &options() const { return opts; }
     /// @}
@@ -187,10 +196,8 @@ class Experiment
 
     ExperimentOptions opts;
     std::shared_ptr<const accel::Accelerator> accelPtr;
+    BenchmarkEngine setup;
     std::shared_ptr<const PreparedStream> stream;
-    std::unique_ptr<power::VfModel> vf;
-    std::unique_ptr<power::OperatingPointTable> opTable;
-    std::unique_ptr<SimulationEngine> simEngine;
     std::map<Scheme, RunMetrics> cache;
     std::optional<core::PidConfig> tunedPid;
 };
@@ -208,16 +215,12 @@ struct MatrixCell
 /**
  * Evaluate every scheme on every benchmark — the shape of the paper's
  * summary figures. Cells are ordered benchmark-major, matching the
- * input vectors. With a pool, benchmarks are sharded over its workers
- * (each one builds its own Experiment); every cell is computed from
- * that benchmark's data alone, so results are identical to a serial
- * sweep at any worker count.
+ * input vectors.
  */
 std::vector<MatrixCell>
 runExperimentMatrix(const std::vector<std::string> &benchmarks,
                     const std::vector<Scheme> &schemes,
-                    const ExperimentOptions &options = {},
-                    util::ThreadPool *pool = nullptr);
+                    const ExperimentOptions &options = {});
 
 } // namespace sim
 } // namespace predvfs

@@ -579,13 +579,5 @@ JobCache::global()
     return *cache;
 }
 
-bool
-JobCache::enabledByEnv()
-{
-    static const bool enabled =
-        !util::envFlag("PREDVFS_DISABLE_CACHE", false);
-    return enabled;
-}
-
 } // namespace sim
 } // namespace predvfs

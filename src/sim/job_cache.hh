@@ -21,11 +21,12 @@
  * Eviction is a strict LRU over a byte budget. For a serial probe
  * sequence the hit/miss/eviction history is a pure function of the
  * sequence and the capacity — the determinism the eviction tests pin
- * down. Under concurrent use (experiment-matrix sharding) the
- * interleaving of probes is schedule-dependent, so hit *rates* may
- * vary run to run, but never values: a hit returns exactly the bytes
- * an insert stored, and the full canonical key is compared on lookup,
- * so a 64-bit hash collision cannot alias two different jobs.
+ * down. Under concurrent use (server shards, Experiments built on
+ * several threads) the interleaving of probes is schedule-dependent,
+ * so hit *rates* may vary run to run, but never values: a hit returns
+ * exactly the bytes an insert stored, and the full canonical key is
+ * compared on lookup, so a 64-bit hash collision cannot alias two
+ * different jobs.
  */
 
 #ifndef PREDVFS_SIM_JOB_CACHE_HH
@@ -152,12 +153,10 @@ class JobCache
     /**
      * The process-global cache shared by every SimulationEngine.
      * Capacity comes from PREDVFS_CACHE_BYTES (bytes; first read
-     * wins), defaulting to defaultCapacityBytes.
+     * wins), defaulting to defaultCapacityBytes; 0 gives a cache that
+     * stores nothing.
      */
     static JobCache &global();
-
-    /** False when PREDVFS_DISABLE_CACHE=1 was set at first query. */
-    static bool enabledByEnv();
 
     /** @name Content hashing (shared by the engine's stream keys) */
     /// @{

@@ -67,22 +67,6 @@ envSizeBytes(const char *name, std::size_t fallback)
                 static_cast<std::uint64_t>(SIZE_MAX)));
 }
 
-bool
-envFlag(const char *name, bool fallback)
-{
-    const char *env = std::getenv(name);
-    if (!env)
-        return fallback;
-    const std::string value(env);
-    if (value == "1")
-        return true;
-    if (value == "0")
-        return false;
-    warn(name, ": expected 0 or 1, got '", value, "'; using default ",
-         fallback ? "1" : "0");
-    return fallback;
-}
-
 std::string
 envString(const char *name, const std::string &fallback)
 {

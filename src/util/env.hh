@@ -3,8 +3,8 @@
  * Hardened environment-knob parsing.
  *
  * Every tunable read from the environment (PREDVFS_CACHE_BYTES,
- * PREDVFS_DISABLE_CACHE, the PREDVFS_SERVE_* serving knobs) goes
- * through these helpers so a malformed value has one defined meaning
+ * PREDVFS_SNAPSHOT, the PREDVFS_SERVE_* serving knobs) goes through
+ * these helpers so a malformed value has one defined meaning
  * everywhere: warn once and use the documented fallback. Rejected
  * inputs are empty strings, non-numeric text, trailing junk ("64k"),
  * negative numbers (strtoull would silently wrap them), values that
@@ -36,12 +36,6 @@ std::uint64_t envUint(const char *name, std::uint64_t fallback,
 
 /** envUint() narrowed to std::size_t, for byte budgets. */
 std::size_t envSizeBytes(const char *name, std::size_t fallback);
-
-/**
- * Read a boolean knob: "1" is true, "0" is false, anything else
- * (including empty) warns and falls back.
- */
-bool envFlag(const char *name, bool fallback);
 
 /**
  * Read a string knob (PREDVFS_SNAPSHOT). An empty value warns and

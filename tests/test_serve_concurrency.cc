@@ -15,7 +15,6 @@
 #include "serve/client.hh"
 #include "serve/server.hh"
 #include "sim/experiment.hh"
-#include "sim/job_cache.hh"
 #include "workload/replay.hh"
 
 using namespace predvfs;
@@ -110,13 +109,11 @@ TEST(ServeConcurrency, DuplicateHeavyStreamsAreDeterministicAcrossWorkers)
         EXPECT_EQ(t.batchJobs, t.requests);
         EXPECT_GT(t.batches, 0u);
         EXPECT_GE(t.meanBatchOccupancy(), 1.0);
-        if (sim::JobCache::enabledByEnv()) {
-            // The hot set dominates the plans; after its first
-            // resolution (cache or coalescing) everything else is a
-            // non-simulated answer. Duplicate-heavy traffic must not
-            // look duplicate-free.
-            EXPECT_GE(t.cacheHits + t.coalesced, total / 2);
-        }
+        // The hot set dominates the plans; after its first resolution
+        // (cache or coalescing) everything else is a non-simulated
+        // answer. Duplicate-heavy traffic must not look
+        // duplicate-free.
+        EXPECT_GE(t.cacheHits + t.coalesced, total / 2);
         server.stop();
     }
 }

@@ -32,6 +32,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "accel/registry.hh"
@@ -86,17 +87,38 @@ expectMatchesFixture(const serve::GoldenReport &got,
 void
 expectStreamIdentity(const serve::StreamTelemetry &t)
 {
-    EXPECT_EQ(t.requests, t.cacheHits + t.coalesced + t.simulated +
-                              t.busy + t.expired + t.shutdown)
-        << "stream " << t.benchmark;
+    EXPECT_TRUE(t.balanced()) << "stream " << t.benchmark;
 }
 
 void
 expectShardIdentity(const serve::ShardTelemetry &s)
 {
-    EXPECT_EQ(s.requests, s.cacheHits + s.coalesced + s.simulated +
-                              s.busy + s.expired + s.shutdown)
-        << "shard " << s.index;
+    EXPECT_TRUE(s.balanced()) << "shard " << s.index;
+}
+
+/** Expect the telemetryJson() object whose first member is @p head to
+ *  carry each of @p c's nine counters, with the same value. */
+void
+expectJsonCounters(const std::string &json, const std::string &head,
+                   const serve::ServeCounters &c)
+{
+    const std::size_t begin = json.find(head);
+    ASSERT_NE(begin, std::string::npos) << head;
+    const std::string object =
+        json.substr(begin, json.find('}', begin) - begin);
+    const std::pair<const char *, std::uint64_t> counters[] = {
+        {"requests", c.requests},   {"cache_hits", c.cacheHits},
+        {"coalesced", c.coalesced}, {"simulated", c.simulated},
+        {"busy", c.busy},           {"expired", c.expired},
+        {"shutdown", c.shutdown},   {"batches", c.batches},
+        {"batch_jobs", c.batchJobs},
+    };
+    for (const auto &[key, value] : counters) {
+        const std::string member = "\"" + std::string(key) +
+            "\": " + std::to_string(value) + ",";
+        EXPECT_NE(object.find(member), std::string::npos)
+            << head << " lacks " << member << " in\n" << object;
+    }
 }
 
 std::uint64_t
@@ -391,6 +413,18 @@ TEST(ServeDistributed, ShardCountsServeIdenticalBytes)
         EXPECT_EQ(shard_requests, stream_requests);
         EXPECT_EQ(placed_streams, benches.size());
         EXPECT_EQ(server.maxQueueDepth(), deepest);
+
+        // The Stats document carries every counter of every stream and
+        // shard, with the value the in-process snapshots report.
+        const std::string json = server.telemetryJson();
+        for (const std::string &bench : benches) {
+            expectJsonCounters(json, "\"benchmark\": \"" + bench + "\"",
+                               server.telemetry(bench));
+        }
+        for (const serve::ShardTelemetry &s : shardStats) {
+            expectJsonCounters(
+                json, "\"index\": " + std::to_string(s.index) + ",", s);
+        }
         server.stop();
     }
 }

@@ -652,14 +652,10 @@ TEST(ServeProtocol, ConnectWithRetryZeroTimeoutIsSingleShot)
     // And when a server *is* there, the single attempt succeeds.
     const std::string path = testing::TempDir() + "predvfs_probe.sock";
     PredictionServer server;
-    server.listenUnix(path);
+    server.listen(path);
     const std::unique_ptr<Connection> conn =
         connectWithRetry(path, /*timeout_ms=*/0);
     EXPECT_NE(conn, nullptr);
-
-    // connectUnix is the historical alias for the same function.
-    EXPECT_EQ(connectUnix(absent, 0), nullptr);
-    EXPECT_NE(connectUnix(path, 0), nullptr);
 }
 
 TEST(ServeProtocolDeathTest, OversizedEncodeIsFatal)
@@ -677,10 +673,11 @@ TEST(ServeProtocol, UnixSocketTransportSpeaksTheSameProtocol)
 
     const std::string path = testing::TempDir() + "predvfs_test.sock";
     PredictionServer server;
-    server.listenUnix(path);
+    server.listen(path);
 
     {
-        PredictionClient client(connectUnix(path, /*timeout_ms=*/5000));
+        PredictionClient client(
+            connectWithRetry(path, /*timeout_ms=*/5000));
         EXPECT_NE(client.statsJson().find("\"server\""),
                   std::string::npos);
     }
@@ -688,7 +685,7 @@ TEST(ServeProtocol, UnixSocketTransportSpeaksTheSameProtocol)
         // Malformed traffic over the real socket: typed error, clean
         // close, server stays up.
         const std::unique_ptr<Connection> conn =
-            connectUnix(path, /*timeout_ms=*/5000);
+            connectWithRetry(path, /*timeout_ms=*/5000);
         ASSERT_NE(conn, nullptr);
         const std::vector<std::uint8_t> garbage(64, 0xFF);
         sendAll(*conn, garbage);
@@ -696,7 +693,7 @@ TEST(ServeProtocol, UnixSocketTransportSpeaksTheSameProtocol)
         ASSERT_EQ(frames.size(), 1u);
         expectErrorFrame(frames[0]);
     }
-    PredictionClient again(connectUnix(path, /*timeout_ms=*/5000));
+    PredictionClient again(connectWithRetry(path, /*timeout_ms=*/5000));
     EXPECT_NE(again.statsJson().find("\"streams\""), std::string::npos);
 }
 

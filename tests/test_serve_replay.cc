@@ -4,9 +4,8 @@
  * test workload is driven through a loopback server and the replies
  * are checked three ways — byte-identical to the in-process pipeline
  * (Experiment), stable across fresh / cache-warm / warm-restart
- * serving, and equal to the checked-in golden report. The whole suite
- * runs in both cache modes via the PREDVFS_DISABLE_CACHE=1 ctest
- * pass; the goldens are mode-independent because caching and batching
+ * serving, and equal to the checked-in golden report. The goldens do
+ * not depend on what the cache holds, because caching and batching
  * never change response bytes.
  */
 
@@ -18,7 +17,6 @@
 #include "serve/golden.hh"
 #include "serve/server.hh"
 #include "sim/experiment.hh"
-#include "sim/job_cache.hh"
 
 #include "run_metrics.hh"
 
@@ -90,14 +88,9 @@ checkBenchmark(const std::string &bench)
     EXPECT_GE(t.requests, 3 * fresh.jobs);
     EXPECT_GT(t.batches, 0u);
     EXPECT_GT(t.meanBatchOccupancy(), 0.0);
-    if (sim::JobCache::enabledByEnv()) {
-        // The warm and record-check replays were answerable from the
-        // cache outright.
-        EXPECT_GE(t.cacheHits, 2 * fresh.jobs);
-    } else {
-        EXPECT_EQ(t.cacheHits, 0u);
-        EXPECT_EQ(t.requests, t.coalesced + t.simulated);
-    }
+    // The warm and record-check replays were answerable from the
+    // cache outright.
+    EXPECT_GE(t.cacheHits, 2 * fresh.jobs);
 
     // Warm restart: a brand-new server (fresh engine, retrained
     // predictor) must serve the same bytes.

@@ -12,7 +12,6 @@
 
 #include "accel/registry.hh"
 #include "sim/experiment.hh"
-#include "sim/job_cache.hh"
 
 #include "run_metrics.hh"
 
@@ -160,13 +159,9 @@ TEST(Experiment, CellsShareOnePreparedStream)
         other.switchTimeSeconds = 250e-6;
         other.platform = Platform::Fpga;
         Experiment b(name, other);
-        // Sharing is also bypassed when PREDVFS_DISABLE_CACHE=1.
-        if (JobCache::enabledByEnv() && a.options().shareStreams &&
-            b.options().shareStreams) {
-            EXPECT_EQ(&a.testPrepared(), &b.testPrepared());
-            EXPECT_EQ(&a.trainPrepared(), &b.trainPrepared());
-            EXPECT_EQ(&a.predictor(), &b.predictor());
-        }
+        EXPECT_EQ(&a.testPrepared(), &b.testPrepared());
+        EXPECT_EQ(&a.trainPrepared(), &b.trainPrepared());
+        EXPECT_EQ(&a.predictor(), &b.predictor());
 
         // Opting out builds privately, with identical record values,
         // and replays to exactly the shared cell's metrics.

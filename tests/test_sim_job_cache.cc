@@ -237,8 +237,6 @@ expectPreparedIdentical(const std::vector<core::PreparedJob> &a,
 
 TEST(MemoizedPrepare, DuplicateHeavyStreamSimulatesUniquesOnly)
 {
-    if (!JobCache::enabledByEnv())
-        GTEST_SKIP() << "cache disabled by environment";
     EngineFixture f;
 
     // 4 unique jobs, each repeated 8 times.
@@ -275,8 +273,6 @@ TEST(MemoizedPrepare, DuplicateHeavyStreamSimulatesUniquesOnly)
 
 TEST(MemoizedPrepare, AllUniqueStreamMissesOncePerJob)
 {
-    if (!JobCache::enabledByEnv())
-        GTEST_SKIP() << "cache disabled by environment";
     EngineFixture f;
     const core::FlowResult flow =
         core::buildPredictor(f.acc->design(), f.work.train, {});
@@ -299,8 +295,6 @@ TEST(MemoizedPrepare, AllUniqueStreamMissesOncePerJob)
 
 TEST(MemoizedPrepare, FaultsNeverPoisonTheCache)
 {
-    if (!JobCache::enabledByEnv())
-        GTEST_SKIP() << "cache disabled by environment";
     EngineFixture f;
     const core::FlowResult flow =
         core::buildPredictor(f.acc->design(), f.work.train, {});
@@ -567,16 +561,10 @@ TEST(EnvKnobs, WellFormedValuesParse)
     {
         ScopedEnv env("PREDVFS_TEST_KNOB", "0");
         EXPECT_EQ(util::envUint("PREDVFS_TEST_KNOB", 7), 0u);
-        EXPECT_FALSE(util::envFlag("PREDVFS_TEST_KNOB", true));
-    }
-    {
-        ScopedEnv env("PREDVFS_TEST_KNOB", "1");
-        EXPECT_TRUE(util::envFlag("PREDVFS_TEST_KNOB", false));
     }
     {
         ScopedEnv env("PREDVFS_TEST_KNOB", nullptr);
         EXPECT_EQ(util::envUint("PREDVFS_TEST_KNOB", 7), 7u);
-        EXPECT_TRUE(util::envFlag("PREDVFS_TEST_KNOB", true));
     }
 }
 
@@ -608,12 +596,6 @@ TEST(EnvKnobs, MalformedValuesFallBackInsteadOfAborting)
         // Overflow past 2^64.
         ScopedEnv env("PREDVFS_TEST_KNOB", "99999999999999999999999");
         EXPECT_EQ(util::envUint("PREDVFS_TEST_KNOB", 99), 99u);
-    }
-    {
-        // Flags accept exactly "0"/"1".
-        ScopedEnv env("PREDVFS_TEST_KNOB", "true");
-        EXPECT_TRUE(util::envFlag("PREDVFS_TEST_KNOB", true));
-        EXPECT_FALSE(util::envFlag("PREDVFS_TEST_KNOB", false));
     }
 }
 
