@@ -18,6 +18,11 @@
  * prints the concrete address), anything else is a Unix socket path.
  * --socket PATH is the historical spelling of --listen PATH.
  *
+ * --workers (default 2: each shard's dispatcher plus one helper) and
+ * --shards take an integer in [1, 64], the range of their env knobs;
+ * the second counts take a number in [0, 1e9]. Any other value
+ * prints the usage line and exits 2.
+ *
  * With --stop-file the server polls for the file's existence and
  * shuts down cleanly once it appears — scripts get a deterministic,
  * sanitizer-clean teardown without signal races. SIGTERM and SIGINT
@@ -40,6 +45,7 @@
 #include <chrono>
 #include <csignal>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -50,6 +56,7 @@
 #include <unistd.h>
 
 #include "serve/server.hh"
+#include "util/env.hh"
 #include "util/logging.hh"
 
 using namespace predvfs;
@@ -66,6 +73,47 @@ splitCommas(const std::string &list)
         if (!item.empty())
             out.push_back(item);
     return out;
+}
+
+/** A flag's unsigned value in [lo, hi], read like the env knobs. */
+bool
+parseCount(const char *text, unsigned lo, unsigned hi, unsigned &out)
+{
+    std::uint64_t value = 0;
+    if (!util::parseUint(text, value) || value < lo || value > hi)
+        return false;
+    out = static_cast<unsigned>(value);
+    return true;
+}
+
+/**
+ * A non-negative number of seconds with no trailing junk, at most
+ * 1e9 so the deadline arithmetic stays inside steady_clock's 64-bit
+ * nanosecond count (NaN and infinities fail the range test).
+ */
+bool
+parseSeconds(const char *text, double &out)
+{
+    char *end = nullptr;
+    const double value = std::strtod(text, &end);
+    if (end == text || *end != '\0' || !(value >= 0.0 && value <= 1e9))
+        return false;
+    out = value;
+    return true;
+}
+
+int
+usage(const char *argv0)
+{
+    std::fprintf(stderr,
+                 "usage: %s (--listen ADDR | --socket PATH) "
+                 "[--bench a,b,...] "
+                 "[--workers N] [--shards N] "
+                 "[--stop-file PATH] "
+                 "[--max-seconds S] [--snapshot PATH] "
+                 "[--snapshot-seconds S]\n",
+                 argv0);
+    return 2;
 }
 
 bool
@@ -103,35 +151,32 @@ main(int argc, char **argv)
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         const bool has_value = i + 1 < argc;
+        bool ok = true;
         if ((arg == "--listen" || arg == "--socket") && has_value) {
             listen_address = argv[++i];
         } else if (arg == "--bench" && has_value) {
             benchmarks = splitCommas(argv[++i]);
         } else if (arg == "--workers" && has_value) {
-            sopts.workers =
-                static_cast<unsigned>(std::stoul(argv[++i]));
+            ok = parseCount(argv[++i], 1,
+                            serve::ServerOptions::kWorkersLimit,
+                            sopts.workers);
         } else if (arg == "--shards" && has_value) {
-            sopts.shards =
-                static_cast<unsigned>(std::stoul(argv[++i]));
+            ok = parseCount(argv[++i], 1,
+                            serve::ServerOptions::kShardsLimit,
+                            sopts.shards);
         } else if (arg == "--stop-file" && has_value) {
             stop_file = argv[++i];
         } else if (arg == "--max-seconds" && has_value) {
-            max_seconds = std::stod(argv[++i]);
+            ok = parseSeconds(argv[++i], max_seconds);
         } else if (arg == "--snapshot" && has_value) {
             sopts.snapshotPath = argv[++i];
         } else if (arg == "--snapshot-seconds" && has_value) {
-            snapshot_seconds = std::stod(argv[++i]);
+            ok = parseSeconds(argv[++i], snapshot_seconds);
         } else {
-            std::fprintf(stderr,
-                         "usage: %s (--listen ADDR | --socket PATH) "
-                         "[--bench a,b,...] "
-                         "[--workers N] [--shards N] "
-                         "[--stop-file PATH] "
-                         "[--max-seconds S] [--snapshot PATH] "
-                         "[--snapshot-seconds S]\n",
-                         argv[0]);
-            return 2;
+            ok = false;
         }
+        if (!ok)
+            return usage(argv[0]);
     }
     util::fatalIf(listen_address.empty(),
                   "--listen (or --socket) is required");

@@ -29,12 +29,14 @@ ServerOptions
 serverOptionsFromEnv(ServerOptions base)
 {
     base.workers = static_cast<unsigned>(
-        util::envUint("PREDVFS_SERVE_WORKERS", base.workers, 1, 64));
+        util::envUint("PREDVFS_SERVE_WORKERS", base.workers, 1,
+                      ServerOptions::kWorkersLimit));
     base.shards = static_cast<unsigned>(
-        util::envUint("PREDVFS_SERVE_SHARDS", base.shards, 1, 64));
+        util::envUint("PREDVFS_SERVE_SHARDS", base.shards, 1,
+                      ServerOptions::kShardsLimit));
     base.maxBatchJobs = static_cast<std::size_t>(
         util::envUint("PREDVFS_SERVE_MAX_BATCH", base.maxBatchJobs, 1,
-                      4096));
+                      ServerOptions::kBatchJobsLimit));
     base.batchWindowMicros = static_cast<unsigned>(
         util::envUint("PREDVFS_SERVE_WINDOW_US", base.batchWindowMicros,
                       0, 1000000));
@@ -225,6 +227,26 @@ struct PredictionServer::Impl
 {
     explicit Impl(const ServerOptions &options) : opts(options)
     {
+        // A zero batch cap would spin the dispatcher's chunk loop
+        // forever, and a zero queue bound would refuse every Predict;
+        // reject them, and runaway thread counts, before any thread
+        // starts.
+        util::fatalIf(opts.workers > ServerOptions::kWorkersLimit,
+                      "PredictionServer: workers must be at most ",
+                      ServerOptions::kWorkersLimit, ", got ",
+                      opts.workers);
+        util::fatalIf(opts.shards > ServerOptions::kShardsLimit,
+                      "PredictionServer: shards must be at most ",
+                      ServerOptions::kShardsLimit, ", got ",
+                      opts.shards);
+        util::fatalIf(opts.maxBatchJobs < 1 ||
+                          opts.maxBatchJobs >
+                              ServerOptions::kBatchJobsLimit,
+                      "PredictionServer: maxBatchJobs must be in [1, ",
+                      ServerOptions::kBatchJobsLimit, "], got ",
+                      opts.maxBatchJobs);
+        util::fatalIf(opts.queueBound < 1,
+                      "PredictionServer: queueBound must be at least 1");
         const unsigned n = std::max(1u, opts.shards);
         shards.reserve(n);
         for (unsigned i = 0; i < n; ++i) {

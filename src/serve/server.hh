@@ -28,8 +28,11 @@
  * expired while queued are answered with DeadlineExceeded at that
  * point — and only at that point, never once simulation has started,
  * so any reply that does carry values is byte-deterministic. The rest
- * is grouped by stream and run through one prepare() call per chunk
- * (over the shard's thread pool when workers > 1). Batching, worker
+ * is grouped by stream and run through one prepare() call per chunk,
+ * on the shard's pool when workers > 1: the dispatcher simulates the
+ * full design of the chunk's misses while a helper simulates their
+ * slices, so a cold prediction waits for the longer of its two
+ * simulations, not for both. Batching, worker
  * count, and shard count change only latency and throughput, never
  * bytes: prepare() is bit-deterministic at any worker count, requests
  * of one stream never leave its shard, and arrival order is preserved
@@ -60,9 +63,20 @@ namespace serve {
 /** Serving configuration. */
 struct ServerOptions
 {
-    /** Worker threads for batch simulation (1 = serial), per shard.
-     *  Replies are bit-identical at any value. */
-    unsigned workers = 1;
+    /** Upper bounds of workers, shards and maxBatchJobs, enforced by
+     *  the constructor, serverOptionsFromEnv and the daemon's flags. */
+    static constexpr unsigned kWorkersLimit = 64;
+    static constexpr unsigned kShardsLimit = 64;
+    static constexpr std::size_t kBatchJobsLimit = 4096;
+
+    /**
+     * Simulation workers per shard, the shard's dispatcher included:
+     * each shard starts workers - 1 helper threads. At the default 2
+     * a miss's full design runs on the dispatcher while the helper
+     * runs its slice; 1 keeps prepare() serial. Replies are
+     * bit-identical at any value.
+     */
+    unsigned workers = 2;
 
     /**
      * Dispatcher shards. Streams are assigned by fingerprint hash
@@ -75,7 +89,7 @@ struct ServerOptions
     unsigned shards = 1;
 
     /** Accumulation cap: a drained batch never exceeds this many
-     *  jobs per stream. */
+     *  jobs per stream; at least 1. */
     std::size_t maxBatchJobs = 64;
 
     /** How long a dispatcher that wakes with fewer than maxBatchJobs
@@ -94,7 +108,7 @@ struct ServerOptions
      * can queue whole when the reader outpaces prepare(), so the
      * default is far above the largest in-tree burst (h264's
      * 1,500-job test stream): only deployments (or the overload
-     * tests) that set it see Busy.
+     * tests) that set it see Busy. At least 1.
      */
     std::size_t queueBound = 4096;
 
@@ -183,6 +197,9 @@ struct ShardTelemetry : ServeCounters
 class PredictionServer
 {
   public:
+    /** Out-of-range options (the ranges serverOptionsFromEnv applies
+     *  and ServerOptions documents) are fatal, before any thread
+     *  starts. */
     explicit PredictionServer(ServerOptions options = {});
     ~PredictionServer();
 

@@ -18,7 +18,7 @@ using util::panicIf;
 namespace {
 
 /**
- * The serial memoised path sends unique-miss batches smaller than this
+ * The full-design pass sends runs of fewer unique misses than this
  * through the scalar run(), one job at a time. Measured per design
  * (DESIGN.md, "Measured and kept"): at one and two jobs the scalar
  * path is faster on every design; at three the batch kernel already
@@ -93,25 +93,6 @@ SimulationEngine::prepare(const std::vector<rtl::JobInput> &jobs,
         });
     }
 
-    // Record i depends only on job i and both runs are reentrant, so
-    // any sharding of the index range produces the same vector.
-    const auto sliceInto = [&](const rtl::JobInput &job,
-                               core::PreparedJob &record) {
-        const core::SliceRun slice = predictor->run(job);
-        record.sliceCycles = slice.sliceCycles;
-        record.sliceEnergyUnits = slice.sliceEnergyUnits;
-        record.predictedCycles = slice.predictedCycles;
-    };
-    const auto fill = [&](const rtl::JobInput &job,
-                          core::PreparedJob &record) {
-        record.input = &job;
-        const rtl::JobResult result = fullInterp.run(job);
-        record.cycles = result.cycles;
-        record.energyUnits = result.energyUnits;
-        if (predictor)
-            sliceInto(job, record);
-    };
-
     // Phase 1 (serial): probe the global cache once per job and
     // deduplicate the misses within this batch, keeping
     // first-occurrence order. Serial probing makes the cache's LRU
@@ -166,32 +147,72 @@ SimulationEngine::prepare(const std::vector<rtl::JobInput> &jobs,
         uniqHashes.push_back(h);
     }
 
-    // Phase 2: simulate only the unique misses. Sharded over the pool
-    // when available; the serial path pushes the full-design
-    // simulation of batches of kMinBatchJobs or more through the
-    // lockstep batch kernel (bit-identical to per-job run() by
-    // construction).
-    if (pool && pool->workers() > 1 && uniq.size() > 1) {
-        pool->run(uniq.size(), [&](unsigned, std::size_t k) {
-            fill(jobs[uniq[k]], prepared[uniq[k]]);
-        });
-    } else if (uniq.size() < kMinBatchJobs) {
-        for (const std::size_t i : uniq)
-            fill(jobs[i], prepared[i]);
-    } else {
+    // Phase 2: simulate only the unique misses, in two independent
+    // passes over uniq[begin, end): the full design writes cycles and
+    // energyUnits, the slice writes the three slice fields. Each
+    // record depends only on its own job, both runs are const and
+    // reentrant, and the passes write disjoint fields, so any split
+    // of the passes and their ranges produces the same vector.
+    const auto fullPass = [&](std::size_t begin, std::size_t end) {
+        if (end - begin < kMinBatchJobs) {
+            for (std::size_t k = begin; k < end; ++k) {
+                const rtl::JobResult result =
+                    fullInterp.run(jobs[uniq[k]]);
+                prepared[uniq[k]].cycles = result.cycles;
+                prepared[uniq[k]].energyUnits = result.energyUnits;
+            }
+            return;
+        }
         std::vector<const rtl::JobInput *> batch;
-        batch.reserve(uniq.size());
-        for (const std::size_t i : uniq)
-            batch.push_back(&jobs[i]);
+        batch.reserve(end - begin);
+        for (std::size_t k = begin; k < end; ++k)
+            batch.push_back(&jobs[uniq[k]]);
         const std::vector<rtl::JobResult> results =
             fullInterp.compiled()->runBatch(batch);
-        for (std::size_t k = 0; k < uniq.size(); ++k) {
-            core::PreparedJob &record = prepared[uniq[k]];
-            record.cycles = results[k].cycles;
-            record.energyUnits = results[k].energyUnits;
-            if (predictor)
-                sliceInto(jobs[uniq[k]], record);
+        for (std::size_t k = begin; k < end; ++k) {
+            prepared[uniq[k]].cycles = results[k - begin].cycles;
+            prepared[uniq[k]].energyUnits =
+                results[k - begin].energyUnits;
         }
+    };
+    const auto slicePass = [&](std::size_t begin, std::size_t end) {
+        for (std::size_t k = begin; k < end; ++k) {
+            const core::SliceRun slice = predictor->run(jobs[uniq[k]]);
+            core::PreparedJob &record = prepared[uniq[k]];
+            record.sliceCycles = slice.sliceCycles;
+            record.sliceEnergyUnits = slice.sliceEnergyUnits;
+            record.predictedCycles = slice.predictedCycles;
+        }
+    };
+
+    const std::size_t misses = uniq.size();
+    const std::size_t passes = predictor ? 2 : 1;
+    if (pool && pool->workers() > 1 && misses * passes > 1) {
+        // One task per worker: the first ceil(W/2) cut the full pass
+        // into contiguous chunks, the rest cut the slice pass (with
+        // no predictor, all W cut the full pass). Chunks round up, so
+        // the leading chunk of each pass is never the empty one: at
+        // two workers the caller runs the whole full pass and the
+        // helper the whole slice pass.
+        const std::size_t workers = pool->workers();
+        const std::size_t fullChunks =
+            predictor ? (workers + 1) / 2 : workers;
+        const auto edge = [misses](std::size_t c, std::size_t chunks) {
+            return (c * misses + chunks - 1) / chunks;
+        };
+        pool->run(workers, [&](unsigned, std::size_t t) {
+            if (t < fullChunks) {
+                fullPass(edge(t, fullChunks), edge(t + 1, fullChunks));
+            } else {
+                const std::size_t c = t - fullChunks;
+                const std::size_t chunks = workers - fullChunks;
+                slicePass(edge(c, chunks), edge(c + 1, chunks));
+            }
+        });
+    } else {
+        fullPass(0, misses);
+        if (predictor)
+            slicePass(0, misses);
     }
 
     // Phase 3 (serial, first-occurrence order): publish the clean

@@ -91,11 +91,11 @@ class SimulationEngine
      * predictor, job fields), so only *unique* field vectors are
      * simulated — batch-level duplicates fan out from one simulation,
      * and repeat streams (grid sweeps, repeated experiments) hit the
-     * cache outright. The unique-job miss path runs the full design
-     * through CompiledDesign::runBatch, or through the scalar run()
-     * per job when only one or two jobs miss (below the measured
-     * crossover the batch kernel is slower). All of this is
-     * bit-identical to simulating every job from scratch.
+     * cache outright. The unique misses take two independent passes:
+     * the full design, through CompiledDesign::runBatch or, for one
+     * or two jobs, the scalar run() (below the measured crossover the
+     * batch kernel is slower), and the predictor's slice. All of this
+     * is bit-identical to simulating every job from scratch.
      *
      * @param faults Optional fault schedule; its prepare-stage effects
      *        (readout corruption, slice stalls, model corruption, OOD
@@ -107,11 +107,15 @@ class SimulationEngine
      *        plans over a fixed stream is cheaper via
      *        FaultSchedule::applyPrepareFaults() on a copy of a
      *        fault-free prepared stream.
-     * @param pool Optional thread pool; unique jobs are sharded over
-     *        its workers. The result is bit-identical to the serial
-     *        path at any worker count (each record depends only on its
-     *        own job; cache probes and inserts stay serial and
-     *        ordered, so the LRU history is deterministic too).
+     * @param pool Optional thread pool; the two passes run side by
+     *        side on its workers (at two workers the caller runs the
+     *        full design and the helper the slice; above two each
+     *        pass is cut into contiguous chunks). The result is
+     *        bit-identical to the serial path at any worker count
+     *        (each record depends only on its own job and the passes
+     *        write disjoint fields; cache probes and inserts stay
+     *        serial and ordered, so the LRU history is deterministic
+     *        too).
      * @param stats Optional counters describing how the call was
      *        answered (cache hits, in-batch duplicates, fresh
      *        simulations).

@@ -10,15 +10,6 @@
 namespace predvfs {
 namespace util {
 
-namespace {
-
-/**
- * Parse @p text as an unsigned decimal integer. Returns false (and
- * leaves @p out untouched) on any malformation: empty, sign
- * characters, trailing junk, or overflow. strtoull alone accepts
- * "-5" (wrapping it) and "7 cats" (stopping early); both must fall
- * back instead.
- */
 bool
 parseUint(const char *text, std::uint64_t &out)
 {
@@ -35,8 +26,6 @@ parseUint(const char *text, std::uint64_t &out)
     out = static_cast<std::uint64_t>(v);
     return true;
 }
-
-} // namespace
 
 std::uint64_t
 envUint(const char *name, std::uint64_t fallback, std::uint64_t lo,

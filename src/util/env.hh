@@ -22,6 +22,16 @@ namespace predvfs {
 namespace util {
 
 /**
+ * Parse @p text as an unsigned decimal integer, the strict way every
+ * knob and numeric command-line flag is read. Returns false (and
+ * leaves @p out untouched) on any malformation: empty, sign
+ * characters, trailing junk, or overflow. strtoull alone accepts
+ * "-5" (wrapping it) and "7 cats" (stopping early); both are
+ * rejected. Leading whitespace is skipped.
+ */
+bool parseUint(const char *text, std::uint64_t &out);
+
+/**
  * Read an unsigned integer knob.
  *
  * @param name     Environment variable name.

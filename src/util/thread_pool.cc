@@ -9,8 +9,8 @@ ThreadPool::ThreadPool(unsigned workers)
     if (numWorkers == 0)
         return;
     errors.resize(numWorkers);
-    threads.reserve(numWorkers);
-    for (unsigned w = 0; w < numWorkers; ++w)
+    threads.reserve(numWorkers - 1);
+    for (unsigned w = 1; w < numWorkers; ++w)
         threads.emplace_back([this, w] { workerLoop(w); });
 }
 
@@ -25,6 +25,20 @@ ThreadPool::~ThreadPool()
     startCv.notify_all();
     for (std::thread &t : threads)
         t.join();
+}
+
+void
+ThreadPool::runShard(unsigned w, std::size_t n, const Task &fn)
+{
+    // Contiguous shard: always the same slice for the same (n, W).
+    const std::size_t begin = w * n / numWorkers;
+    const std::size_t end = (w + 1) * n / numWorkers;
+    try {
+        for (std::size_t i = begin; i < end; ++i)
+            fn(w, i);
+    } catch (...) {
+        errors[w] = std::current_exception();
+    }
 }
 
 void
@@ -46,21 +60,13 @@ ThreadPool::workerLoop(unsigned w)
             n = jobSize;
         }
 
-        // Contiguous shard: always the same slice for the same (n, W).
-        const std::size_t begin = w * n / numWorkers;
-        const std::size_t end = (w + 1) * n / numWorkers;
-        try {
-            for (std::size_t i = begin; i < end; ++i)
-                (*fn)(w, i);
-        } catch (...) {
-            errors[w] = std::current_exception();
-        }
+        runShard(w, n, *fn);
 
         {
             std::lock_guard<std::mutex> lock(mutex);
             ++finished;
         }
-        doneCv.notify_all();
+        doneCv.notify_one();
     }
 }
 
@@ -84,9 +90,13 @@ ThreadPool::run(std::size_t n, const Task &fn)
     }
     startCv.notify_all();
 
+    // The caller is worker 0: it works instead of sleeping through
+    // its shard, so a two-worker run wakes one thread, not two.
+    runShard(0, n, fn);
+
     {
         std::unique_lock<std::mutex> lock(mutex);
-        doneCv.wait(lock, [&] { return finished == numWorkers; });
+        doneCv.wait(lock, [&] { return finished == numWorkers - 1; });
         job = nullptr;
     }
 

@@ -15,13 +15,15 @@
  *    per-worker scratch selected by @p worker); under that contract
  *    the output vector is byte-identical to a serial loop, in order,
  *    regardless of how shard execution interleaves;
- *  - a pool with zero or one worker runs everything inline on the
- *    calling thread, so serial remains the trivial special case.
+ *  - the calling thread is worker 0: it runs shard 0 itself, so a
+ *    pool of W workers starts W - 1 threads, and a pool with zero or
+ *    one worker runs everything inline with no threads at all.
  *
- * Workers are persistent: started once in the constructor, woken per
+ * Helpers are persistent: started once in the constructor, woken per
  * run() by a generation counter, joined in the destructor. run() is
  * a full barrier — it returns only after every shard finished — and
- * rethrows the first exception a shard raised (by lowest worker id).
+ * rethrows the first exception a shard raised (by lowest worker id,
+ * so the caller's own shard comes first).
  */
 
 #ifndef PREDVFS_UTIL_THREAD_POOL_HH
@@ -45,8 +47,9 @@ class ThreadPool
     using Task = std::function<void(unsigned, std::size_t)>;
 
     /**
-     * @param workers Worker threads to start; 0 and 1 both mean
-     *                "inline on the caller" (no threads at all).
+     * @param workers Workers, the calling thread included; W >= 2
+     *                starts W - 1 helper threads, and 0 and 1 both
+     *                mean "inline on the caller" (no threads at all).
      */
     explicit ThreadPool(unsigned workers);
 
@@ -57,12 +60,13 @@ class ThreadPool
 
     /**
      * Execute fn(worker, i) for every i in [0, n) and wait for all of
-     * it. Deterministic sharding; see the file comment for the output
-     * contract fn must follow.
+     * it; the calling thread runs worker 0's shard. Deterministic
+     * sharding; see the file comment for the output contract fn must
+     * follow. Single-flight: one run() at a time per pool.
      */
     void run(std::size_t n, const Task &fn);
 
-    /** @return worker threads backing this pool (0 = inline). */
+    /** @return workers backing this pool, caller included (0 = inline). */
     unsigned workers() const { return numWorkers; }
 
     /**
@@ -76,9 +80,10 @@ class ThreadPool
 
   private:
     void workerLoop(unsigned w);
+    /** Run worker @p w's shard of [0, n), recording its exception. */
+    void runShard(unsigned w, std::size_t n, const Task &fn);
 
     const unsigned numWorkers;
-    std::vector<std::thread> threads;
 
     std::mutex mutex;
     std::condition_variable startCv;
@@ -86,9 +91,10 @@ class ThreadPool
     const Task *job = nullptr;
     std::size_t jobSize = 0;
     std::uint64_t generation = 0;
-    unsigned finished = 0;
+    unsigned finished = 0;  //!< Helpers done with this generation.
     bool stopping = false;
     std::vector<std::exception_ptr> errors;
+    std::vector<std::thread> threads;  //!< Helpers 1 .. W-1.
 };
 
 } // namespace util

@@ -537,6 +537,36 @@ TEST(ServeEnvKnobs, MalformedQueueBoundWarnsAndKeepsBase)
     }
 }
 
+TEST(ServeOptionsDeath, RejectsOutOfRangeOptions)
+{
+    // Each is refused before a thread starts; a zero batch cap used to
+    // spin the dispatcher on empty prepare() calls forever.
+    serve::ServerOptions bad;
+    bad.workers = 1;
+    bad.maxBatchJobs = 0;
+    EXPECT_DEATH(serve::PredictionServer{bad}, "maxBatchJobs");
+    bad.maxBatchJobs = 4097;
+    EXPECT_DEATH(serve::PredictionServer{bad}, "maxBatchJobs");
+    bad.maxBatchJobs = 64;
+    bad.queueBound = 0;
+    EXPECT_DEATH(serve::PredictionServer{bad}, "queueBound");
+    bad.queueBound = 4096;
+    bad.workers = 65;
+    EXPECT_DEATH(serve::PredictionServer{bad}, "workers");
+    bad.workers = 1;
+    bad.shards = 65;
+    EXPECT_DEATH(serve::PredictionServer{bad}, "shards");
+
+    // The edges of the ranges are accepted.
+    serve::ServerOptions edge;
+    edge.workers = 1;
+    edge.maxBatchJobs = 4096;
+    edge.queueBound = 1;
+    { serve::PredictionServer server(edge); }
+    edge.maxBatchJobs = 1;
+    { serve::PredictionServer server(edge); }
+}
+
 TEST(ServeEnvKnobs, SnapshotPathAcceptsAnyNonEmptyString)
 {
     serve::ServerOptions base;

@@ -256,6 +256,58 @@ expectPreparedIdentical(const std::vector<core::PreparedJob> &a,
     }
 }
 
+/** One benchmark's engine and trained predictor. */
+struct DesignFixture
+{
+    explicit DesignFixture(const std::string &name)
+        : acc(accel::makeAccelerator(name)),
+          work(workload::makeWorkload(*acc)),
+          table(power::OperatingPointTable::asic(
+              power::VfModel::asic65nm(acc->nominalFrequencyHz()),
+              true)),
+          flow(core::buildPredictor(acc->design(), work.train, {}))
+    {
+    }
+
+    std::shared_ptr<const accel::Accelerator> acc;
+    workload::BenchmarkWorkload work;
+    power::OperatingPointTable table;
+    SimulationEngine engine{*acc, table, {}};
+    core::FlowResult flow;
+};
+
+/**
+ * The tree walker's records for @p jobs: the full design through
+ * runReference, the slice through runReference with an Instrumenter
+ * and the predictor.
+ */
+std::vector<core::PreparedJob>
+treeWalkOracle(const accel::Accelerator &acc,
+               const core::SlicePredictor &pred,
+               const std::vector<rtl::JobInput> &jobs)
+{
+    const rtl::Interpreter full_tree(acc.design());
+    const rtl::SliceResult &slice = pred.slice();
+    const rtl::Interpreter slice_tree(slice.design);
+    rtl::Instrumenter instr(slice.design, slice.features);
+    std::vector<core::PreparedJob> oracle;
+    for (const rtl::JobInput &job : jobs) {
+        core::PreparedJob record;
+        record.input = &job;
+        const rtl::JobResult full = full_tree.runReference(job);
+        record.cycles = full.cycles;
+        record.energyUnits = full.energyUnits;
+        instr.reset();
+        const rtl::JobResult sliced =
+            slice_tree.runReference(job, &instr);
+        record.sliceCycles = sliced.cycles;
+        record.sliceEnergyUnits = sliced.energyUnits;
+        record.predictedCycles = pred.predictCycles(instr.values());
+        oracle.push_back(record);
+    }
+    return oracle;
+}
+
 } // namespace
 
 TEST(Engine, ParallelPrepareBitIdenticalToSerial)
@@ -268,6 +320,8 @@ TEST(Engine, ParallelPrepareBitIdenticalToSerial)
 
     for (const unsigned workers : {1u, 2u, 4u, 7u}) {
         util::ThreadPool pool(workers);
+        // From an emptied cache, so the pool simulates every job.
+        JobCache::global().clear();
         const auto parallel = f.engine.prepare(
             f.work.test, flow.predictor.get(), nullptr, &pool);
         SCOPED_TRACE("workers=" + std::to_string(workers));
@@ -290,42 +344,16 @@ TEST(Engine, AllDesignsPrepareBitExactUnderFaultsAfterSpeculation)
 {
     for (const std::string &name : accel::benchmarkNames()) {
         SCOPED_TRACE(name);
-        const auto acc = accel::makeAccelerator(name);
-        const workload::BenchmarkWorkload work =
-            workload::makeWorkload(*acc);
-        const power::VfModel vf =
-            power::VfModel::asic65nm(acc->nominalFrequencyHz());
-        const power::OperatingPointTable table =
-            power::OperatingPointTable::asic(vf, true);
-        const SimulationEngine engine{*acc, table, {}};
-        const core::FlowResult flow =
-            core::buildPredictor(acc->design(), work.train, {});
-        const core::SlicePredictor &pred = *flow.predictor;
+        const DesignFixture d(name);
+        const SimulationEngine &engine = d.engine;
+        const core::SlicePredictor &pred = *d.flow.predictor;
 
-        std::vector<rtl::JobInput> jobs = work.test;
-        jobs.insert(jobs.end(), work.test.begin(),
-                    work.test.begin() +
-                        std::min<std::size_t>(8, work.test.size()));
-
-        const rtl::Interpreter full_tree(acc->design());
-        const rtl::SliceResult &slice = pred.slice();
-        const rtl::Interpreter slice_tree(slice.design);
-        rtl::Instrumenter instr(slice.design, slice.features);
-        std::vector<core::PreparedJob> oracle;
-        for (const rtl::JobInput &job : jobs) {
-            core::PreparedJob record;
-            record.input = &job;
-            const rtl::JobResult full = full_tree.runReference(job);
-            record.cycles = full.cycles;
-            record.energyUnits = full.energyUnits;
-            instr.reset();
-            const rtl::JobResult sliced =
-                slice_tree.runReference(job, &instr);
-            record.sliceCycles = sliced.cycles;
-            record.sliceEnergyUnits = sliced.energyUnits;
-            record.predictedCycles = pred.predictCycles(instr.values());
-            oracle.push_back(record);
-        }
+        std::vector<rtl::JobInput> jobs = d.work.test;
+        jobs.insert(jobs.end(), d.work.test.begin(),
+                    d.work.test.begin() +
+                        std::min<std::size_t>(8, d.work.test.size()));
+        const std::vector<core::PreparedJob> oracle =
+            treeWalkOracle(*d.acc, pred, jobs);
 
         // The first prepare triggers self-speculation.
         JobCache::global().clear();
@@ -345,9 +373,87 @@ TEST(Engine, AllDesignsPrepareBitExactUnderFaultsAfterSpeculation)
         expectPreparedIdentical(serial, faulted_oracle);
         expectPreparedIdentical(engine.prepare(jobs, &pred, &schedule),
                                 faulted_oracle);
+        // Emptied again, so the pool simulates rather than fans out
+        // the serial run's cache entries.
         util::ThreadPool pool(4);
+        JobCache::global().clear();
         expectPreparedIdentical(
             serial, engine.prepare(jobs, &pred, &schedule, &pool));
+    }
+}
+
+// A served cold prediction is a prepare() with one or two misses, so
+// it takes the pooled path at its smallest: at two workers the caller
+// runs the full design and the helper the slice; at three the full
+// pass is cut in two chunks, one of them empty for a single miss. For
+// all seven designs, prepare the first 8 test jobs from an emptied
+// cache one, two and three at a time on 2- and 3-worker pools: every
+// chunk's records and counts equal the serial prepare's, and the
+// records equal the tree walker's, clean and under a fault schedule.
+TEST(Engine, PooledSmallMissPreparesMatchSerialAndOracle)
+{
+    FaultPlan plan(4321);
+    plan.sliceReadout(FaultTrigger::every(2))
+        .sliceStall(FaultTrigger::every(3, 1), 15.0)
+        .oodSpike(FaultTrigger::every(2, 1), 2.0);
+    const FaultSchedule schedule = plan.instantiate(3);
+
+    for (const std::string &name : accel::benchmarkNames()) {
+        SCOPED_TRACE(name);
+        const DesignFixture d(name);
+        const core::SlicePredictor &pred = *d.flow.predictor;
+        const std::vector<rtl::JobInput> jobs(
+            d.work.test.begin(),
+            d.work.test.begin() +
+                std::min<std::size_t>(8, d.work.test.size()));
+
+        for (const std::size_t step : {1u, 2u, 3u}) {
+            std::vector<std::vector<rtl::JobInput>> chunks;
+            for (std::size_t b = 0; b < jobs.size(); b += step)
+                chunks.emplace_back(
+                    jobs.begin() + b,
+                    jobs.begin() + std::min(jobs.size(), b + step));
+            std::vector<std::vector<core::PreparedJob>> oracle;
+            for (const auto &chunk : chunks)
+                oracle.push_back(treeWalkOracle(*d.acc, pred, chunk));
+
+            for (const FaultSchedule *faults : {
+                     static_cast<const FaultSchedule *>(nullptr),
+                     &schedule}) {
+                JobCache::global().clear();
+                std::vector<std::vector<core::PreparedJob>> serial;
+                std::vector<PrepareStats> serialStats(chunks.size());
+                for (std::size_t c = 0; c < chunks.size(); ++c)
+                    serial.push_back(d.engine.prepare(
+                        chunks[c], &pred, faults, nullptr,
+                        &serialStats[c]));
+
+                for (const unsigned workers : {2u, 3u}) {
+                    SCOPED_TRACE("step=" + std::to_string(step) +
+                                 " workers=" + std::to_string(workers) +
+                                 (faults ? " faulted" : " clean"));
+                    util::ThreadPool pool(workers);
+                    JobCache::global().clear();
+                    for (std::size_t c = 0; c < chunks.size(); ++c) {
+                        PrepareStats stats;
+                        const auto pooled = d.engine.prepare(
+                            chunks[c], &pred, faults, &pool, &stats);
+                        expectPreparedIdentical(pooled, serial[c]);
+                        EXPECT_EQ(stats.simulated,
+                                  serialStats[c].simulated);
+                        EXPECT_EQ(stats.cacheHits,
+                                  serialStats[c].cacheHits);
+                        EXPECT_EQ(stats.coalesced,
+                                  serialStats[c].coalesced);
+                        std::vector<core::PreparedJob> expect =
+                            oracle[c];
+                        if (faults)
+                            faults->applyPrepareFaults(expect);
+                        expectPreparedIdentical(pooled, expect);
+                    }
+                }
+            }
+        }
     }
 }
 
@@ -371,6 +477,7 @@ TEST(Engine, ParallelPrepareWithFaultsMatchesSerialRun)
 
     for (const unsigned workers : {2u, 4u, 7u}) {
         util::ThreadPool pool(workers);
+        JobCache::global().clear();
         const auto parallel = f.engine.prepare(
             f.work.test, flow.predictor.get(), &schedule, &pool);
         SCOPED_TRACE("workers=" + std::to_string(workers));

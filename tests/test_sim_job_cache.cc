@@ -599,6 +599,31 @@ TEST(EnvKnobs, MalformedValuesFallBackInsteadOfAborting)
     }
 }
 
+TEST(EnvKnobs, ParseUintAcceptsPlainDecimalsOnly)
+{
+    const std::pair<const char *, std::uint64_t> good[] = {
+        {"0", 0},
+        {"7", 7},
+        {"  42", 42},  // Leading whitespace is skipped.
+        {"0064", 64},
+        {"18446744073709551615", UINT64_MAX},
+    };
+    for (const auto &[text, want] : good) {
+        std::uint64_t out = 1;
+        EXPECT_TRUE(util::parseUint(text, out)) << "'" << text << "'";
+        EXPECT_EQ(out, want) << "'" << text << "'";
+    }
+    const char *bad[] = {
+        "", "  ", "abc", "64k", "12 34", "42 ", "0x10", "+5", "-5",
+        "1.5", "1e3", "18446744073709551616",
+    };
+    for (const char *text : bad) {
+        std::uint64_t out = 99;
+        EXPECT_FALSE(util::parseUint(text, out)) << "'" << text << "'";
+        EXPECT_EQ(out, 99u) << "'" << text << "' overwrote the output";
+    }
+}
+
 TEST(EnvKnobs, OutOfRangeValuesFallBackNotClamp)
 {
     {

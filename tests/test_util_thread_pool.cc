@@ -1,15 +1,20 @@
 /**
  * @file
  * ThreadPool: full index coverage, deterministic contiguous sharding,
- * output identical to a serial loop at every worker count, exception
- * propagation, and reuse across many run() calls.
+ * output identical to a serial loop at every worker count, the caller
+ * as worker 0, exception propagation, and reuse across many run()
+ * calls.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
+#include <mutex>
+#include <set>
 #include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "util/thread_pool.hh"
@@ -97,6 +102,71 @@ TEST(ThreadPool, PropagatesShardExceptions)
     std::vector<int> out(4, 0);
     pool.run(4, [&](unsigned, std::size_t i) { out[i] = 1; });
     EXPECT_EQ(out, (std::vector<int>{1, 1, 1, 1}));
+}
+
+TEST(ThreadPool, CallerRunsShardZero)
+{
+    const std::thread::id caller = std::this_thread::get_id();
+    for (const unsigned workers : {2u, 3u, 4u}) {
+        ThreadPool pool(workers);
+        const std::size_t n = 4 * workers + 1;
+        std::vector<std::thread::id> ran(n);
+        std::vector<unsigned> owner(n);
+        pool.run(n, [&](unsigned w, std::size_t i) {
+            ran[i] = std::this_thread::get_id();
+            owner[i] = w;
+        });
+        for (std::size_t i = 0; i < n; ++i) {
+            SCOPED_TRACE("workers=" + std::to_string(workers) +
+                         " i=" + std::to_string(i));
+            EXPECT_EQ(owner[i] == 0, i < n / workers);
+            EXPECT_EQ(ran[i] == caller, owner[i] == 0);
+        }
+    }
+}
+
+TEST(ThreadPool, UsesExactlyWorkerCountThreadsCallerIncluded)
+{
+    const std::thread::id caller = std::this_thread::get_id();
+    for (const unsigned workers : {2u, 4u, 7u}) {
+        ThreadPool pool(workers);
+        std::mutex mu;
+        std::set<std::thread::id> seen;
+        // Several runs: the helpers persist, so no run adds a thread.
+        for (int round = 0; round < 5; ++round) {
+            pool.run(3 * workers, [&](unsigned, std::size_t) {
+                std::lock_guard<std::mutex> lock(mu);
+                seen.insert(std::this_thread::get_id());
+            });
+        }
+        EXPECT_EQ(seen.size(), workers) << "workers=" << workers;
+        EXPECT_EQ(seen.count(caller), 1u) << "workers=" << workers;
+    }
+}
+
+TEST(ThreadPool, CallerShardExceptionWinsOverLaterWorkers)
+{
+    ThreadPool pool(3);
+    // Item 0 is the caller's, item 2 the last helper's; both throw,
+    // and the lowest worker id decides which one run() rethrows.
+    try {
+        pool.run(3, [&](unsigned, std::size_t i) {
+            if (i == 0)
+                throw std::runtime_error("caller shard");
+            if (i == 2)
+                throw std::logic_error("helper shard");
+        });
+        ADD_FAILURE() << "run() returned normally";
+    } catch (const std::runtime_error &e) {
+        EXPECT_STREQ(e.what(), "caller shard");
+    } catch (const std::logic_error &e) {
+        ADD_FAILURE() << "rethrew the helper's exception: " << e.what();
+    }
+
+    // Both failures were collected; the pool stays usable.
+    std::vector<int> out(6, 0);
+    pool.run(6, [&](unsigned, std::size_t i) { out[i] = 1; });
+    EXPECT_EQ(out, std::vector<int>(6, 1));
 }
 
 TEST(ThreadPool, SurvivesManyConsecutiveRuns)
